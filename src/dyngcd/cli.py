@@ -1,13 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 bad input (parse failure, preperiodic orbit, invalid
-arguments), 3 cache fingerprint mismatch, 4 internal cross-check failure
-(dual-route disagreement or a failed verify suite).
+arguments, coefficients too large for the int64 kernels), 3 cache fingerprint
+mismatch or corrupt cache, 4 internal cross-check failure (dual-route
+disagreement or a failed verify suite).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -15,12 +17,12 @@ from pathlib import Path
 
 from . import __version__
 from .orbit_engine import (
+    INF,
     CacheMismatchError,
     OrdCache,
     ParseError,
     PreperiodicOrbitError,
     classify_orbit,
-    ell,
     growth_constant_estimate,
     ord_crt,
     parse_polynomial,
@@ -109,8 +111,8 @@ def cmd_ord(ns, cfg: RunConfig) -> int:
     for n in ns.n:
         if n < 1:
             raise ValueError("n must be >= 1")
-        r = ord_crt(F, n, cache)
-        le = ell(F, n, cache)
+        r = ord_crt(F, n, cache)  # r <= n: no lcm overflow for n below 2^64
+        le = INF if r == INF else math.lcm(n, int(r))
         print(f"n={n} ord={_fmt_rank(r)} ell={_fmt_rank(le)}")
     _save_cache(cfg, cache)
     return 0

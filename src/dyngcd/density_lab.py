@@ -30,6 +30,7 @@ from .orbit_engine import (
     IntPolynomial,
     OrdCache,
     a_mod,
+    check_int64_horner,
     ell,
     ord_crt,
     require_wandering,
@@ -130,8 +131,7 @@ def _gcd_vector(F: IntPolynomial, x: int, linear: tuple[int, int] | None) -> np.
     else:
         a, b = linear
         mods = a * idx + b
-    if int(mods.max()) ** 2 >= 2**63:
-        raise ValueError("oracle moduli too large for the int64 kernel")
+    check_int64_horner(F.coeffs, int(mods.max()))
     coeffs = F.coeffs
     v = np.zeros(x + 1, dtype=np.int64)
     out = np.zeros(x + 1, dtype=np.int64)

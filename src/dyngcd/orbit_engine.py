@@ -21,6 +21,7 @@ search additionally uses None for "not determined within the cap".
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,7 +54,7 @@ class PreperiodicOrbitError(ValueError):
 
 class CacheMismatchError(RuntimeError):
     """Raised when a rank cache is used with a different polynomial than the
-    one it was computed for."""
+    one it was computed for, or holds entries that cannot be ranks."""
 
 
 @dataclass(frozen=True)
@@ -237,26 +238,40 @@ def a_mod(F: IntPolynomial, n: int, m: int) -> int:
 
 
 def ord_direct_capped(F: IntPolynomial, n: int, cap: int) -> int | float | None:
-    """First r <= cap with a_r = 0 mod n; INF when cap >= n exhausts the state
-    space without a hit (0 can only recur within n steps); None otherwise.
+    """First r <= cap with a_r = 0 mod n; INF when cap >= n and there is no
+    such r at all; None when cap < n and no r <= cap qualifies.
+
+    The search uses Brent's cycle detection: a tortoise waits at a_s, s the
+    last power of two passed.  0 = a_0 recurs exactly when the orbit mod n is
+    purely periodic, and then its return at r = period comes before any other
+    repeat, so meeting the tortoise before a zero proves the rank infinite.
+    That costs fewer than 3 (tail + period) steps, about sqrt(n) for a
+    typical map, and never more than cap.
     """
     _check_modulus(n)
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if n == 1:
         return 1
-    v = 0
+    v = tortoise = 0
+    s = 1
     for r in range(1, cap + 1):
         v = F.eval_mod(v, n)
         if v == 0:
             return r
+        if v == tortoise:
+            break
+        if r == s:
+            tortoise, s = v, 2 * s
+    # a repeat without a zero, or n + 1 orbit values without one, proves the
+    # rank infinite; the contract reports that only for cap >= n
     return INF if cap >= n else None
 
 
 def ord_direct(F: IntPolynomial, n: int) -> int | float:
-    """Rank of apparition of n by direct iteration: least r >= 1 with
-    n | a_r, else INF.  The search stops at r = n, after which the residue
-    orbit has already cycled without passing through 0."""
+    """Rank of apparition of n by direct search: least r >= 1 with n | a_r,
+    else INF.  The cycle detection of ord_direct_capped settles it after
+    about tail + period steps of the residue orbit."""
     return ord_direct_capped(F, n, n)  # cap = n always resolves
 
 
@@ -266,9 +281,20 @@ def ord_direct(F: IntPolynomial, n: int) -> int | float:
 # ---------------------------------------------------------------------------
 
 _VEC_MODULUS_MAX = 2**31
+_INT64_LIMIT = 2**63
+
+
+def check_int64_horner(coeffs: tuple[int, ...], m_max: int) -> None:
+    """Refuse coefficients for which a Horner step acc * v + c on residues
+    acc, v < m_max could leave int64 (numpy would wrap it silently)."""
+    if (m_max - 1) ** 2 + max(abs(c) for c in coeffs) >= _INT64_LIMIT:
+        raise ValueError(
+            f"coefficients too large for the int64 kernel at moduli up to {m_max}"
+        )
 
 
 def _horner_vec(coeffs: tuple[int, ...], v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """F(v) mod m lane by lane; the caller has passed check_int64_horner."""
     acc = np.full(v.shape, coeffs[-1], dtype=np.int64)
     acc %= m
     for c in reversed(coeffs[:-1]):
@@ -283,27 +309,35 @@ def first_zero_scan(
 ) -> np.ndarray:
     """For each modulus mods[i], the least r <= caps[i] with a_r = 0 mod
     mods[i], or 0 when there is none.  Semantically one ord_direct_capped per
-    entry, run in lockstep across all moduli still alive."""
+    entry, run in lockstep across all moduli still alive: a lane retires at
+    its zero, at its cap, or when it meets its tortoise (one shared power of
+    two, since every lane is at the same step), which proves it has none."""
     mods = np.asarray(mods, dtype=np.int64)
     caps = np.asarray(caps, dtype=np.int64)
     if mods.size and int(mods.max()) >= _VEC_MODULUS_MAX:
         raise ValueError("vector kernel limited to moduli below 2^31")
     if mods.size and int(mods.min()) < 2:
         raise ValueError("vector kernel needs moduli >= 2")
+    if mods.size:
+        check_int64_horner(F.coeffs, int(mods.max()))
     found = np.zeros(mods.shape, dtype=np.int64)
     idx = np.arange(mods.size)
     v = np.zeros(mods.size, dtype=np.int64)
-    r = 0
+    tortoise = v
+    r, s = 0, 1
     while mods.size:
         r += 1
         v = _horner_vec(F.coeffs, v, mods)
         zero = v == 0
         if zero.any():
             found[idx[zero]] = r
-        retire = zero | (caps <= r)
+        retire = zero | (v == tortoise) | (caps <= r)
+        if r == s:
+            tortoise, s = v, 2 * s
         if retire.any():
             keep = ~retire
             mods, caps, idx, v = mods[keep], caps[keep], idx[keep], v[keep]
+            tortoise = tortoise[keep]
     return found
 
 
@@ -384,16 +418,28 @@ class OrdCache:
             self.overflow_events.append(n)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# poly={self.poly_key}\n")
-            fh.write(f"# version={_CACHE_VERSION}\n")
-            fh.write("p,ord\n")
-            for n in sorted(self.ranks):
-                r = self.ranks[n]
-                fh.write(f"{n},{0 if r == INF else int(r)}\n")
+        """Write the CSV to a temporary file beside path, then move it over
+        path in one os.replace, so no reader ever sees a half-written cache."""
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(f"# poly={self.poly_key}\n")
+                fh.write(f"# version={_CACHE_VERSION}\n")
+                fh.write("p,ord\n")
+                for n in sorted(self.ranks):
+                    r = self.ranks[n]
+                    fh.write(f"{n},{0 if r == INF else int(r)}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path, expect: IntPolynomial | str | None = None) -> "OrdCache":
+        """Read a cache written by save.  A file whose entries cannot be ranks
+        (a key below 1 or listed twice, or a rank outside 0 = INF or
+        1 <= r <= n) is refused with CacheMismatchError."""
         meta: dict[str, str] = {}
         ranks: dict[int, int | float] = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -408,7 +454,14 @@ class OrdCache:
                 if line == "p,ord":
                     continue
                 ps, _, rs = line.partition(",")
-                n, r = int(ps), int(rs)
+                try:
+                    n, r = int(ps), int(rs)
+                except ValueError:
+                    raise CacheMismatchError(f"{path}: malformed entry {line!r}") from None
+                if n < 1 or not (r == 0 or 1 <= r <= n):
+                    raise CacheMismatchError(f"{path}: impossible rank {r} for {n}")
+                if n in ranks:
+                    raise CacheMismatchError(f"{path}: modulus {n} listed twice")
                 ranks[n] = INF if r == 0 else r
         if "poly" not in meta:
             raise CacheMismatchError(f"{path}: missing polynomial fingerprint")

@@ -2,15 +2,17 @@
 of primes, injectivity of the reduced map, the anomalous/pretty bookkeeping,
 and the handful of summary statistics built from those scans.
 
-A scan is exact when every prime is iterated to its full cap p (ord(p) <= p
-whenever it is finite, so no-zero-by-p settles infinite rank).  Under a sieve
-bound x the cap drops to about x/p for the large primes; a prime that shows no
-zero by then has ell(p) > x, which is all the gcd sieve needs, but its rank is
-recorded as None (unknown) rather than guessed.  The one trap in that shortcut
-is an anomalous prime (ord(p) = p, so ell(p) = p <= x); those are exactly the
-primes whose reduced map is injective, so the scan screens injectivity first
-and gives injective primes their full cap.  For quadratics the screen is a
-constant-time degree argument at every odd prime.
+A scan is exact when every prime gets the full cap p (ord(p) <= p whenever it
+is finite, so no-zero-by-p settles infinite rank); the kernel's cycle
+detection retires an infinite-rank prime long before that, after about
+sqrt(p) steps.  Under a sieve bound x the cap drops to about x/p for the large
+primes; a prime that shows no zero by then has ell(p) > x, which is all the
+gcd sieve needs, but its rank is recorded as None (unknown) rather than
+guessed.  The one trap in that shortcut is an anomalous prime (ord(p) = p, so
+ell(p) = p <= x); those are exactly the primes whose reduced map is
+injective, so the scan screens injectivity first and gives injective primes
+their full cap.  For quadratics the screen is a constant-time degree argument
+at every odd prime.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .orbit_engine import (
     INF,
     IntPolynomial,
     _horner_vec,
+    check_int64_horner,
     first_zero_scan,
     require_wandering,
 )
@@ -59,6 +62,7 @@ def is_injective_mod_p(F: IntPolynomial, p: int) -> bool:
         return False
     if p >= _TABLE_PRIME_MAX:
         raise ValueError("injectivity table limited to p below 2^31")
+    check_int64_horner(F.coeffs, p)
     vals = _horner_vec(F.coeffs, np.arange(p, dtype=np.int64), np.int64(p))
     return int(np.bincount(vals, minlength=p).max()) == 1
 

@@ -22,6 +22,22 @@ def test_ord_output(capsys):
     assert out == "n=13 ord=4 ell=52\nn=3 ord=inf ell=inf\n"
 
 
+def test_ord_prints_exact_ell_past_64_bits(capsys):
+    rc, out, _ = run(capsys, "ord", "--poly", "x^2+1", "--n", "218637583794517469")
+    assert rc == 0
+    assert out == "n=218637583794517469 ord=8940409218 ell=1954709469557751397709629242\n"
+
+
+def test_ord_factorizes_each_modulus_once(capsys, monkeypatch):
+    from dyngcd import orbit_engine
+
+    calls = []
+    factorize = orbit_engine.factorize
+    monkeypatch.setattr(orbit_engine, "factorize", lambda n: calls.append(n) or factorize(n))
+    rc, _, _ = run(capsys, "ord", "--poly", "x^2+1", "--n", "65", "--n", "45833", "--n", "3")
+    assert rc == 0 and calls == [65, 45833, 3]
+
+
 def test_classify_output(capsys):
     rc, out, _ = run(capsys, "classify", "--poly", "x^2+1")
     assert rc == 0 and "wandering" in out
@@ -127,6 +143,15 @@ def test_cache_mismatch_exit_code(tmp_path, capsys):
     assert "cache" in err
 
 
+def test_corrupt_cache_exit_code(tmp_path, capsys):
+    cache = tmp_path / "c.csv"
+    rc, _, _ = run(capsys, "ord", "--poly", "x^2+1", "--n", "5", "--cache", str(cache))
+    assert rc == 0
+    cache.write_text(cache.read_text().replace("5,3", "5,999"))
+    rc, out, err = run(capsys, "ord", "--poly", "x^2+1", "--n", "65", "--cache", str(cache))
+    assert rc == 3 and out == "" and "999" in err
+
+
 def test_cache_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DYNGCD_CACHE_DIR", str(tmp_path))
     rc, _, _ = run(capsys, "ord", "--poly", "x^2+1", "--n", "5", "--cache", "sub/r.csv")
@@ -149,6 +174,11 @@ def test_preperiodic_exit_code(capsys):
     assert rc == 2 and "preperiodic" in err
     rc, _, _ = run(capsys, "density", "--poly", "x^2-2", "--k", "1", "--x", "100")
     assert rc == 2
+
+
+def test_coefficient_too_large_for_int64_kernel_exit_code(capsys):
+    rc, out, err = run(capsys, "scan", "--poly", "x^2+100000000000000000000", "--pmax", "50")
+    assert rc == 2 and out == "" and "int64" in err
 
 
 def test_bad_threads_exit_code(capsys):

@@ -1,0 +1,172 @@
+"""Property tests: the rank kernels and the factorizer against plain
+iteration and plain trial division, on random inputs."""
+
+import math
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dyngcd.arith_core import factorize
+from dyngcd.orbit_engine import (
+    INF,
+    IntPolynomial,
+    first_zero_scan,
+    ord_crt,
+    ord_direct_capped,
+    ord_table,
+)
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True)
+
+# |c| < 2^62 keeps every Horner step of the int64 kernels exact for moduli
+# below 2^31; the scalar kernel works on Python ints and takes any size.
+SMALL = st.integers(-50, 50)
+VEC_COEFF = st.one_of(SMALL, st.integers(-(2**62) + 1, 2**62 - 1))
+ANY_COEFF = st.one_of(SMALL, st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def polys(draw, coeff):
+    degree = draw(st.integers(2, 4))
+    low = draw(st.lists(coeff, min_size=degree, max_size=degree))
+    lead = draw(st.one_of(st.integers(1, 5), coeff.filter(lambda c: c >= 1)))
+    return IntPolynomial(tuple(low) + (lead,))
+
+
+def plain_first_zero(F: IntPolynomial, n: int, cap: int) -> int | None:
+    """Least r <= cap with n | a_r by walking the orbit with exact integers,
+    reduced once per step; None when there is none."""
+    v = 0
+    for r in range(1, cap + 1):
+        acc = 0
+        for c in reversed(F.coeffs):
+            acc = acc * v + c
+        v = acc % n
+        if v == 0:
+            return r
+    return None
+
+
+def trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# rank kernels
+# ---------------------------------------------------------------------------
+
+
+@PROPS
+@given(F=polys(ANY_COEFF), n=st.integers(1, 3000), data=st.data())
+def test_ord_direct_capped_matches_plain_iteration(F, n, data):
+    cap = data.draw(st.one_of(st.just(n), st.integers(1, n), st.integers(n, 2 * n)))
+    got = ord_direct_capped(F, n, cap)
+    z = plain_first_zero(F, n, min(cap, n))
+    if cap >= n:
+        assert got == (INF if z is None else z)
+    else:
+        assert got == z
+
+
+@PROPS
+@given(
+    F=polys(VEC_COEFF),
+    lanes=st.lists(st.tuples(st.integers(2, 2000), st.integers(0, 4000)), min_size=1, max_size=25),
+)
+def test_first_zero_scan_matches_plain_iteration(F, lanes):
+    mods = [m for m, _ in lanes]
+    # caps below, at and above the modulus
+    caps = [max(1, min(c, 2 * m)) for m, c in lanes]
+    found = first_zero_scan(F, np.array(mods), np.array(caps)).tolist()
+    for m, cap, r in zip(mods, caps, found):
+        assert r == (plain_first_zero(F, m, cap) or 0)
+
+
+@PROPS
+@given(F=polys(VEC_COEFF), limit=st.integers(2, 300))
+def test_ord_table_matches_plain_iteration(F, limit):
+    t = ord_table(F, limit)
+    assert t[1] == 1
+    for n in range(2, limit + 1):
+        assert t[n] == (plain_first_zero(F, n, n) or 0)
+
+
+def test_int64_kernels_refuse_wrapping_coefficients():
+    # x^2 + (2^63 - 5) used to wrap in int64 and disagree with ord_direct on
+    # 208 moduli up to 3000
+    F = IntPolynomial((2**63 - 5, 0, 1))
+    with pytest.raises(ValueError, match="int64"):
+        ord_table(F, 3000)
+    with pytest.raises(ValueError, match="int64"):
+        first_zero_scan(F, np.array([7, 11]), np.array([7, 11]))
+    # the largest constant term that cannot wrap at moduli up to 3000 is exact
+    edge = IntPolynomial((2**63 - 1 - 2999**2, 0, 1))
+    t = ord_table(edge, 3000)
+    for n in (2, 3, 97, 2999, 3000):
+        assert t[n] == (plain_first_zero(edge, n, n) or 0)
+
+
+# ---------------------------------------------------------------------------
+# factorizer
+# ---------------------------------------------------------------------------
+
+KNOWN_PRIMES = (2, 3, 997, 1009, 65537, 1000003, 999999937, 2**31 - 1, 10**9 + 7, 10**12 + 39)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10**12))
+def test_factorize_matches_trial_division(n):
+    assert factorize(n).factors == trial_division(n)
+
+
+@PROPS
+@given(
+    picks=st.lists(
+        st.tuples(st.sampled_from(KNOWN_PRIMES), st.integers(1, 3)), min_size=1, max_size=4
+    )
+)
+def test_factorize_products_of_known_primes(picks):
+    exps: dict[int, int] = {}
+    for p, e in picks:
+        exps[p] = exps.get(p, 0) + e
+    n = math.prod(p**e for p, e in exps.items())
+    if n >= 318665857834031151167461:
+        with pytest.raises(ValueError):
+            factorize(n)
+    else:
+        assert factorize(n).factors == tuple(sorted(exps.items()))
+
+
+# ---------------------------------------------------------------------------
+# time budget
+# ---------------------------------------------------------------------------
+
+
+def test_rank_of_a_prime_near_1e9_within_seconds():
+    F = IntPolynomial((1, 0, 1))
+    t0 = time.perf_counter()
+    r = ord_crt(F, 10**9 + 7)
+    assert time.perf_counter() - t0 < 5.0
+    assert r == INF
+    # independent certificate: walk the orbit, remembering every value, until
+    # one repeats; no zero on the way means 0 is not on the cycle
+    n, seen, v = 10**9 + 7, set(), 0
+    while v not in seen:
+        seen.add(v)
+        v = (v * v + 1) % n
+        assert v != 0

@@ -244,6 +244,29 @@ def test_cache_rejects_foreign_file(tmp_path):
         OrdCache.load(path, expect=F)
 
 
+@pytest.mark.parametrize(
+    "body", ["5,999\n", "5,-1\n", "0,1\n", "5,3\n5,3\n", "5,three\n"]
+)
+def test_cache_load_refuses_impossible_entries(tmp_path, body):
+    path = tmp_path / "ranks.csv"
+    path.write_text(f"# poly=1,0,1\n# version=1\np,ord\n{body}")
+    with pytest.raises(CacheMismatchError):
+        OrdCache.load(path, expect=F)
+
+
+def test_cache_save_replaces_atomically(tmp_path):
+    path = tmp_path / "ranks.csv"
+    c = OrdCache.for_poly(F)
+    c.put(5, 3)
+    c.save(path)
+    before = path.read_text()
+    c.ranks[2] = "two"  # fails while the new file is being written
+    with pytest.raises(ValueError):
+        c.save(path)
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ranks.csv"]
+
+
 def test_cache_merge():
     c1 = OrdCache.for_poly(F)
     c1.put(5, 3)
