@@ -35,35 +35,12 @@ def sieve_primes(limit: int) -> list[int]:
     return [int(p) for p in np.nonzero(mask)[0]]
 
 
-def mobius_sieve(limit: int) -> np.ndarray:
-    """Array m with m[n] = mu(n) for 1 <= n <= limit (m[0] is 0).
-
-    Linear-space sieve: divide out each prime once, then detect squares.
-    """
-    if limit < 1:
-        raise ValueError("mobius_sieve needs limit >= 1")
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in sieve_primes(limit):
-        mu[p::p] *= -1
-        pp = p * p
-        if pp <= limit:
-            mu[pp::pp] = 0
-    return mu
-
-
 @dataclass(frozen=True)
 class FactoredInteger:
     """n together with its factorization [(p, e), ...] in ascending p."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    def radical(self) -> int:
-        r = 1
-        for p, _ in self.factors:
-            r *= p
-        return r
 
     def prime_set(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -160,27 +137,6 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(out))
 
 
-def largest_prime_factor(n: int) -> int:
-    """Largest prime dividing n; errors on n <= 1 (no prime factors)."""
-    if n <= 1:
-        raise ValueError("largest_prime_factor needs n >= 2")
-    return factorize(n).factors[-1][0]
-
-
-def valuation(n: int, p: int) -> int:
-    """Exponent of the prime p in n != 0."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined here")
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    n = abs(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 def lcm_checked(a: int, b: int) -> int | None:
     """lcm(a, b) for positive a, b, or None if it exceeds the unsigned
     64-bit range.  None is the overflow signal; callers never see a wrapped
@@ -189,19 +145,6 @@ def lcm_checked(a: int, b: int) -> int | None:
         raise ValueError("lcm_checked needs positive arguments")
     v = (a // math.gcd(a, b)) * b
     return v if v <= U64_MAX else None
-
-
-def prime_powers_upto(limit: int) -> list[tuple[int, int, int]]:
-    """All prime powers p^e <= limit as (p, e, p^e), sorted by p^e."""
-    out = []
-    for p in sieve_primes(limit):
-        q, e = p, 1
-        while q <= limit:
-            out.append((p, e, q))
-            q *= p
-            e += 1
-    out.sort(key=lambda t: t[2])
-    return out
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:

@@ -52,14 +52,10 @@ _DENSITY_ORACLE_MAX = 2 * 10**4
 
 @dataclass
 class RunConfig:
-    threads: int = 1
     cache: Path | None = None
 
     @classmethod
     def from_args(cls, ns) -> "RunConfig":
-        threads = getattr(ns, "threads", 1)
-        if threads < 1:
-            raise ValueError("--threads must be >= 1")
         cache = None
         raw = getattr(ns, "cache", None)
         if raw:
@@ -67,7 +63,7 @@ class RunConfig:
             base = os.environ.get("DYNGCD_CACHE_DIR")
             if base and not cache.is_absolute():
                 cache = Path(base) / cache
-        return cls(threads=threads, cache=cache)
+        return cls(cache=cache)
 
 
 def _load_cache(cfg: RunConfig, F) -> OrdCache:
@@ -249,7 +245,6 @@ def cmd_diag(ns, cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; runs single-process")
     common.add_argument("--cache", help="rank cache file (relative paths resolve under DYNGCD_CACHE_DIR)")
 
     ap = argparse.ArgumentParser(

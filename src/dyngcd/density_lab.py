@@ -29,6 +29,7 @@ from .orbit_engine import (
     INF,
     IntPolynomial,
     OrdCache,
+    _horner_vec,
     a_mod,
     check_int64_horner,
     ell,
@@ -124,6 +125,8 @@ def _gcd_vector(F: IntPolynomial, x: int, linear: tuple[int, int] | None) -> np.
     are later queried against the same vector.
     """
     require_wandering(F)
+    # the largest modulus, as a Python int: refuse before int64 can wrap it
+    check_int64_horner(F.coeffs, x if linear is None else linear[0] * x + linear[1])
     idx = np.arange(0, x + 1, dtype=np.int64)
     if linear is None:
         mods = idx.copy()
@@ -131,27 +134,27 @@ def _gcd_vector(F: IntPolynomial, x: int, linear: tuple[int, int] | None) -> np.
     else:
         a, b = linear
         mods = a * idx + b
-    check_int64_horner(F.coeffs, int(mods.max()))
-    coeffs = F.coeffs
     v = np.zeros(x + 1, dtype=np.int64)
-    out = np.zeros(x + 1, dtype=np.int64)
-    scratch = np.empty(x + 1, dtype=np.int64)
     for i in range(1, x + 1):
-        vv = v[i:]
-        mm = mods[i:]
-        acc = scratch[: vv.size]
-        acc.fill(coeffs[-1])
-        acc %= mm
-        for c in coeffs[-2::-1]:
-            acc *= vv
-            acc += c
-            acc %= mm
-        v[i:] = acc
-        out[i] = acc[0]
-    g = np.gcd(mods, out)
+        v[i:] = _horner_vec(F.coeffs, v[i:], mods[i:])
+    g = np.gcd(mods, v)
     g[0] = 0
     g.setflags(write=False)
     return g
+
+
+def _b_mask(g: np.ndarray, k: int) -> np.ndarray:
+    """Where the gcd values g put their index in B(k): k | g and every prime
+    of g divides k."""
+    mask = g % k == 0
+    h = np.where(mask, g, 1)
+    for p, _ in factorize(k).factors:
+        while True:
+            div = h % p == 0
+            if not div.any():
+                break
+            h = np.where(div, h // p, h)
+    return mask & (h == 1)
 
 
 def _counts_from_gvec(g: np.ndarray, k: int, x: int) -> tuple[int, int]:
@@ -159,16 +162,7 @@ def _counts_from_gvec(g: np.ndarray, k: int, x: int) -> tuple[int, int]:
     count_a = int((gx == k).sum())
     if k == 1:
         return count_a, count_a
-    mask = gx % k == 0
-    h = np.where(mask, gx, 1)
-    for p, _ in factorize(k).factors:
-        while True:
-            div = h % p == 0
-            if not div.any():
-                break
-            h = np.where(div, h // p, h)
-    count_b = int((mask & (h == 1)).sum())
-    return count_a, count_b
+    return count_a, int(_b_mask(gx, k).sum())
 
 
 def count_oracle(q: GcdQuery, x: int) -> tuple[int, int]:
@@ -181,16 +175,16 @@ def count_oracle(q: GcdQuery, x: int) -> tuple[int, int]:
     return _counts_from_gvec(g, q.k, x)
 
 
-def oracle_first_A(q: GcdQuery, bound: int) -> int | None:
-    """Least n <= bound with gcd(G(n), a_n) exactly k, or None."""
-    g = _gcd_vector(q.F, bound, q.linear)
-    hits = np.nonzero(g[1:] == q.k)[0]
-    return int(hits[0]) + 1 if hits.size else None
-
-
 # ---------------------------------------------------------------------------
 # structural sieve
 # ---------------------------------------------------------------------------
+
+
+def _rank_above(F: IntPolynomial, p: int, e: int, cache: OrdCache) -> int | float:
+    """ord(p^(e+1)), INF when that modulus is out of range (then p^(e+1)
+    never divides an orbit term the analysis can reach)."""
+    pe1 = p ** (e + 1)
+    return INF if pe1 > 2**62 else cache.rank_of(F, pe1)
 
 
 def count_sieve(q: GcdQuery, x: int, cache: OrdCache | None = None) -> tuple[int, int]:
@@ -233,30 +227,15 @@ def count_sieve(q: GcdQuery, x: int, cache: OrdCache | None = None) -> tuple[int
         if cache.rank_of(F, p**e) == INF:
             # unreachable once ord(k) is finite; kept as a hard guard
             return 0, count_b
-        pe1 = p ** (e + 1)
-        if pe1 > 2**62:
-            o1 = INF  # modulus out of range: p^(e+1) never divides a_n here
-        else:
-            o1 = cache.rank_of(F, pe1)
-        v0 = 0
-        t = lk
-        while t % p == 0:
-            t //= p
-            v0 += 1
-        s1 = None if o1 == INF else int(o1) // math.gcd(int(o1), lk)
-        if v0 == e:
-            # candidates with p | (n/lk) overshoot unless ord(p^(e+1)) misses n
-            if s1 is not None:
-                step = p * s1 // math.gcd(p, s1)
-                if step <= M:
-                    alive[step::step] = False
-        else:
-            # every candidate already has nu_p(n) > e
-            if s1 is not None:
-                if s1 <= M:
-                    alive[s1::s1] = False
-            else:
-                pass  # ord(p^(e+1)) infinite: excess index valuation is harmless
+        o1 = _rank_above(F, p, e, cache)
+        if o1 == INF:
+            continue  # excess index valuation is harmless
+        s1 = int(o1) // math.gcd(int(o1), lk)
+        # nu_p(lk) = e: candidates with p | (n/lk) overshoot unless ord(p^(e+1))
+        # misses n; nu_p(lk) > e: every candidate already has nu_p(n) > e
+        step = s1 if lk % p ** (e + 1) == 0 else math.lcm(p, s1)
+        if step <= M:
+            alive[step::step] = False
     count_a = int(alive.sum())
     return count_a, count_b
 
@@ -267,17 +246,60 @@ def count_sieve(q: GcdQuery, x: int, cache: OrdCache | None = None) -> tuple[int
 
 
 def _pretty_prime_pool(
-    F: IntPolynomial, bound: int, cache: OrdCache, coprime_to: int = 1
+    records, cache: OrdCache, coprime_to: int = 1
 ) -> list[tuple[int, int]]:
-    """(p, ord(p)) for every pretty prime p <= bound not dividing coprime_to.
-    Needs an exact scan, so bound should stay at desk scale."""
+    """(p, ord(p)) for every prime of a scan_primes result whose rank the
+    scan found finite, leaving out the primes dividing coprime_to.  Callers
+    spell each scan the same way, since lru_cache keys on the spelling."""
     pool = []
-    for rec in scan_primes(F, 2, bound):
-        if coprime_to % rec.p == 0 or rec.ord == INF:
+    for rec in records:
+        if coprime_to % rec.p == 0 or rec.ord is None or rec.ord == INF:
             continue
         pool.append((rec.p, int(rec.ord)))
         cache.put(rec.p, int(rec.ord))
     return pool
+
+
+def _squarefree_walk(
+    pool: list[tuple[int, int]],
+    k: int,
+    rk: int,
+    d_max: int,
+    cache: OrdCache,
+    ell_max: int | float = INF,
+):
+    """Yield (d, mu(d), ell(d*k)) for every squarefree d <= d_max built from
+    the primes of pool, depth first with the primes taken in ascending order.
+
+    pool holds (p, r) pairs ascending in p, where r is the rank p brings into
+    ord(d*k) = lcm(ord(k), r for p | d), and rk = ord(k).  An lcm beyond 64
+    bits is noted on the cache and its term is skipped.  A finite ell_max
+    ends a branch at its first ell(d*k) > ell_max (or overflow): ell only
+    grows as d picks up more primes.
+    """
+
+    def walk(i: int, d: int, ord_d: int, mu: int):
+        ord_dk = lcm_checked(ord_d, rk)
+        ld = lcm_checked(d * k, ord_dk) if ord_dk is not None else None
+        if ld is None:
+            cache.note_overflow(d * k)
+            if ell_max != INF:
+                return
+        elif ld > ell_max:
+            return
+        else:
+            yield d, mu, ld
+        for j in range(i, len(pool)):
+            p, r = pool[j]
+            if d * p > d_max:
+                break
+            o2 = lcm_checked(ord_d, r)
+            if o2 is None:
+                cache.note_overflow(d * p)
+                continue
+            yield from walk(j + 1, d * p, o2, -mu)
+
+    return walk(0, 1, 1, 1)
 
 
 def floor_identity_B(q: GcdQuery, x: int, cache: OrdCache | None = None) -> int:
@@ -301,38 +323,10 @@ def floor_identity_B(q: GcdQuery, x: int, cache: OrdCache | None = None) -> int:
     lk = ell(F, k, cache)
     if lk == INF or lk > x:
         return 0
-    pool = []
-    for rec in scan_primes(F, 2, x, sieve_bound=x):
-        if k % rec.p == 0:
-            continue
-        if rec.ord is None or rec.ord == INF:
-            continue
-        if rec.ell is not None and rec.ell != INF and rec.ell <= x:
-            pool.append((rec.p, int(rec.ord)))
-    total = 0
-
-    def walk(i: int, d: int, ord_d: int, mu: int) -> None:
-        nonlocal total
-        ord_dk = lcm_checked(ord_d, int(rk)) if rk > 1 else ord_d
-        ld = lcm_checked(d * k, ord_dk) if ord_dk is not None else None
-        if ld is None:
-            cache.note_overflow(d * k)
-            return
-        if ld > x:
-            return  # ell only grows when d picks up more primes
-        total += mu * (x // ld)
-        for j in range(i, len(pool)):
-            p, op = pool[j]
-            if d * p > x:
-                break
-            o2 = lcm_checked(ord_d, op)
-            if o2 is None:
-                cache.note_overflow(d * p)
-                continue
-            walk(j + 1, d * p, o2, -mu)
-
-    walk(0, 1, 1, 1)
-    return total
+    pool = _pretty_prime_pool(scan_primes(F, 2, x, sieve_bound=x), cache, coprime_to=k)
+    pool = [(p, r) for p, r in pool if math.lcm(p, r) <= x]  # ell(p) <= x
+    walk = _squarefree_walk(pool, k, int(rk), x, cache, ell_max=x)
+    return sum(mu * (x // ld) for _, mu, ld in walk)
 
 
 @dataclass(frozen=True)
@@ -340,6 +334,37 @@ class SeriesTruncation:
     T: int
     value: float
     last_block: float
+
+
+def _series(q: GcdQuery, T: int, cache: OrdCache | None, of_A: bool) -> SeriesTruncation:
+    """sum mu(d) / ell(d*k) over the squarefree d <= T of the walk, summed in
+    its order, for B(k) or (of_A) for A(k); last_block sums 1/ell(d*k) over
+    T/2 < d <= T."""
+    q._identity_only("series_density_A" if of_A else "series_density_B")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if cache is None:
+        cache = OrdCache.for_poly(q.F)
+    F, k = q.F, q.k
+    rk = ord_crt(F, k, cache)
+    if rk == INF:
+        return SeriesTruncation(T, 0.0, 0.0)
+    pool = _pretty_prime_pool(scan_primes(F, 2, T), cache, coprime_to=k)
+    if of_A:
+        for p, e in factorize(k).factors:
+            if p <= T:
+                r = _rank_above(F, p, e, cache)
+                if r != INF:
+                    pool.append((p, int(r)))
+        pool.sort()
+    total = 0.0
+    block = 0.0
+    half = T // 2
+    for d, mu, ld in _squarefree_walk(pool, k, int(rk), T, cache):
+        total += mu / ld
+        if d > half:
+            block += 1.0 / ld
+    return SeriesTruncation(T, total, block)
 
 
 def series_density_B(
@@ -352,67 +377,7 @@ def series_density_B(
     Only pretty d contribute (infinite ell kills the term).  last_block is
     the absolute tail sum over T/2 < d <= T, the reported convergence gauge.
     """
-    q._identity_only("series_density_B")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    F, k = q.F, q.k
-    rk = ord_crt(F, k, cache)
-    if rk == INF:
-        return SeriesTruncation(T, 0.0, 0.0)
-    pool = _pretty_prime_pool(F, T, cache, coprime_to=k)
-    total = 0.0
-    block = 0.0
-    half = T // 2
-
-    def walk(i: int, d: int, ord_d: int, mu: int) -> None:
-        nonlocal total, block
-        ord_dk = lcm_checked(ord_d, int(rk))
-        ld = lcm_checked(d * k, ord_dk) if ord_dk is not None else None
-        if ld is None:
-            cache.note_overflow(d * k)
-        else:
-            total += mu / ld
-            if d > half:
-                block += 1.0 / ld
-        for j in range(i, len(pool)):
-            p, op = pool[j]
-            if d * p > T:
-                break
-            o2 = lcm_checked(ord_d, op)
-            if o2 is None:
-                cache.note_overflow(d * p)
-                continue
-            walk(j + 1, d * p, o2, -mu)
-
-    walk(0, 1, 1, 1)
-    return SeriesTruncation(T, total, block)
-
-
-def _ell_of_product(
-    F: IntPolynomial, t: int, k: int, cache: OrdCache
-) -> int | float:
-    """ell(t*k) with the prime powers of t*k assembled explicitly."""
-    n = t * k
-    acc = 1
-    for p, e in factorize(n).factors:
-        q = p**e
-        if q > 2**62:
-            return INF
-        r = cache.rank_of(F, q)
-        if r == INF:
-            return INF
-        a2 = lcm_checked(acc, int(r))
-        if a2 is None:
-            cache.note_overflow(n)
-            return INF
-        acc = a2
-    v = lcm_checked(n, acc)
-    if v is None:
-        cache.note_overflow(n)
-        return INF
-    return v
+    return _series(q, T, cache, of_A=False)
 
 
 def series_density_A(
@@ -424,37 +389,14 @@ def series_density_A(
 
     with no coprimality restriction; t sharing primes with k raises the
     corresponding prime power inside ell(t*k).  Terms with ell infinite drop.
+
+    For squarefree t, ord(t*k) is the lcm of ord(k), of ord(p^(v_p(k)+1))
+    over the primes p of t dividing k and of ord(p) over the other primes of
+    t, since ord(p^e) divides ord(p^(e+1)).  So this is the walk of the B
+    series with each prime of k admitted at rank ord(p^(v_p(k)+1)), and left
+    out when that rank is infinite.
     """
-    q._identity_only("series_density_A")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    F, k = q.F, q.k
-    if ord_crt(F, k, cache) == INF:
-        return SeriesTruncation(T, 0.0, 0.0)
-    kprimes = [p for p, _ in factorize(k).factors if p <= T]
-    pool_set = {p for p, _ in _pretty_prime_pool(F, T, cache)} | set(kprimes)
-    pool = sorted(pool_set)
-    total = 0.0
-    block = 0.0
-    half = T // 2
-
-    def walk(i: int, t: int, mu: int) -> None:
-        nonlocal total, block
-        lt = _ell_of_product(F, t, k, cache)
-        if lt != INF:
-            total += mu / int(lt)
-            if t > half:
-                block += 1.0 / int(lt)
-        for j in range(i, len(pool)):
-            p = pool[j]
-            if t * p > T:
-                break
-            walk(j + 1, t * p, -mu)
-
-    walk(0, 1, 1)
-    return SeriesTruncation(T, total, block)
+    return _series(q, T, cache, of_A=True)
 
 
 def count_A_inclusion_exclusion(
@@ -583,8 +525,8 @@ def build_Lk(
     lk = int(lk)
     prime_elements = tuple(p for p in factorize(k).prime_set() if p <= bound)
     ratio_sources: dict[int, int] = {}
-    for p, op in _pretty_prime_pool(F, bound, cache, coprime_to=k):
-        lkp = _ell_of_product(F, p, k, cache)
+    for p, op in _pretty_prime_pool(scan_primes(F, 2, bound), cache, coprime_to=k):
+        lkp = ell(F, p * k, cache)
         if lkp == INF:
             continue
         r = int(lkp) // lk
@@ -658,7 +600,7 @@ def _hit_progressions(
 ) -> list[tuple[int, int]]:
     a, b = q.linear
     progs = []
-    for p, op in _pretty_prime_pool(q.F, z, cache):
+    for p, op in _pretty_prime_pool(scan_primes(q.F, 2, z), cache):
         if a % p == 0:
             continue  # a*n+b is never divisible by p
         rp = (-b * pow(a, -1, p)) % p
@@ -780,7 +722,7 @@ def linear_coprime_report(
     count = int((g[1:] == 1).sum())
     density = count / x
     pmax = a * x + b
-    tail_pool = _pretty_prime_pool(q.F, pmax, cache)
+    tail_pool = _pretty_prime_pool(scan_primes(q.F, 2, pmax), cache)
     checkpoints = []
     for z in sorted(set(int(z) for z in z_schedule)):
         hd = small_prime_hit_density(q, z, x, cache)

@@ -387,9 +387,6 @@ class OrdCache:
                 f"cache built for {self.poly_key!r}, used with {F.coeff_key()!r}"
             )
 
-    def get(self, n: int) -> int | float | None:
-        return self.ranks.get(n)
-
     def put(self, n: int, rank: int | float) -> None:
         old = self.ranks.get(n)
         if old is not None and old != rank:
@@ -404,14 +401,6 @@ class OrdCache:
             r = ord_direct(F, n)
             self.ranks[n] = r
         return r
-
-    def merge(self, other: "OrdCache") -> None:
-        if other.poly_key != self.poly_key:
-            raise CacheMismatchError(
-                f"cannot merge cache for {other.poly_key!r} into {self.poly_key!r}"
-            )
-        for n, r in other.ranks.items():
-            self.put(n, r)
 
     def note_overflow(self, n: int) -> None:
         if n not in self.overflow_events:
@@ -519,15 +508,6 @@ def ell(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | float:
             cache.note_overflow(n)
         return INF
     return v
-
-
-def gcd_index_term(F: IntPolynomial, n: int) -> int:
-    """gcd(n, a_n), computed from a_n mod n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
-    return math.gcd(n, a_mod(F, n, n))
 
 
 class Valuation(NamedTuple):

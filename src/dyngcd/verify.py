@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith_core import factorize
 from .orbit_engine import (
     INF,
     IntPolynomial,
@@ -29,6 +28,7 @@ from .orbit_engine import (
 from .prime_lab import low_rank_growth, scan_primes
 from .density_lab import (
     GcdQuery,
+    _b_mask,
     _gcd_vector,
     b_nonempty,
     a_nonempty,
@@ -69,18 +69,6 @@ def _orbit_zeros(F: IntPolynomial, m: int, cap: int) -> list[int]:
         if v == 0:
             zeros.append(r)
     return zeros
-
-
-def _b_mask(g: np.ndarray, k: int) -> np.ndarray:
-    mask = g % k == 0
-    h = np.where(mask, g, 1)
-    for p, _ in factorize(k).factors:
-        while True:
-            div = h % p == 0
-            if not div.any():
-                break
-            h = np.where(div, h // p, h)
-    return mask & (h == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dyngcd.prime_lab import (
 from dyngcd.orbit_engine import nu_p_of_a
 from dyngcd.density_lab import (
     GcdQuery,
+    _b_mask,
     _gcd_vector,
     b_nonempty,
     a_nonempty,
@@ -31,7 +32,7 @@ from dyngcd.density_lab import (
     series_density_A,
     small_prime_hit_density,
 )
-from dyngcd.verify import run_all, _b_mask
+from dyngcd.verify import run_all
 
 F1 = parse_polynomial("x^2+1")
 F2 = parse_polynomial("x^2+x+1")

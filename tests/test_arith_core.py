@@ -3,12 +3,8 @@ import pytest
 from dyngcd.arith_core import (
     crt_pair,
     factorize,
-    largest_prime_factor,
     lcm_checked,
-    mobius_sieve,
-    prime_powers_upto,
     sieve_primes,
-    valuation,
 )
 
 
@@ -18,17 +14,9 @@ def test_sieve_primes():
     assert sieve_primes(1) == []
 
 
-def test_mobius_values():
-    mu = mobius_sieve(30)
-    expected = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1, 12: 0, 15: 1, 16: 0, 30: -1}
-    for n, v in expected.items():
-        assert mu[n] == v
-
-
 def test_factorize():
     f = factorize(360)
     assert f.factors == ((2, 3), (3, 2), (5, 1))
-    assert f.radical() == 30
     assert f.prime_set() == (2, 3, 5)
     assert factorize(1).factors == ()
     with pytest.raises(ValueError):
@@ -38,14 +26,6 @@ def test_factorize():
 def test_factorize_large_prime():
     # appears as an orbit factor later; trial division must get it right
     assert factorize(45833).factors == ((45833, 1),)
-    assert largest_prime_factor(45833) == 45833
-    assert largest_prime_factor(12) == 3
-
-
-def test_valuation():
-    assert valuation(40, 2) == 3
-    assert valuation(7, 2) == 0
-    assert valuation(45, 3) == 2
 
 
 def test_lcm_checked():
@@ -54,15 +34,6 @@ def test_lcm_checked():
     assert lcm_checked(2**63, 2) == 2**63
     # past the 64-bit ceiling the overflow is reported, not raised
     assert lcm_checked(2**40, 3**30) is None
-
-
-def test_prime_powers_upto():
-    got = prime_powers_upto(20)
-    assert got == [
-        (2, 1, 2), (3, 1, 3), (2, 2, 4), (5, 1, 5), (7, 1, 7), (2, 3, 8),
-        (3, 2, 9), (11, 1, 11), (13, 1, 13), (2, 4, 16), (17, 1, 17), (19, 1, 19),
-    ]
-    assert [v for _, _, v in got] == sorted(v for _, _, v in got)
 
 
 # CRT over non-coprime moduli is the backbone of the progression merging

@@ -181,14 +181,20 @@ def test_coefficient_too_large_for_int64_kernel_exit_code(capsys):
     assert rc == 2 and out == "" and "int64" in err
 
 
-def test_bad_threads_exit_code(capsys):
-    rc, _, err = run(capsys, "ord", "--poly", "x^2+1", "--n", "5", "--threads", "0")
-    assert rc == 2 and "threads" in err
-
-
-def test_threads_accepted(capsys):
-    rc, out, _ = run(capsys, "ord", "--poly", "x^2+1", "--n", "5", "--threads", "4")
-    assert rc == 0 and "ord=3" in out
+@pytest.mark.parametrize(
+    "a, b, top",
+    [
+        # a * x + b wrapped in int64 and the message named 9213023705161793537
+        ("1000000000000000000", "1", "100000000000000000001"),
+        # a itself did not fit int64 and ended in a raw OverflowError
+        ("10000000000000000000", "1", "1000000000000000000001"),
+        ("1", "10000000000000000001", "10000000000000000101"),
+    ],
+)
+def test_coprime_oversized_linear_form_exit_code(capsys, a, b, top):
+    rc, out, err = run(capsys, "coprime", "--poly", "x^2+1", "--a", a, "--b", b, "--x", "100")
+    assert rc == 2 and out == ""
+    assert f"moduli up to {top}" in err
 
 
 def test_bad_subcommand_is_usage_error(capsys):

@@ -19,7 +19,6 @@ from dyngcd.density_lab import (
     linear_coprime_report,
     membership,
     non_multiples_count,
-    oracle_first_A,
     series_density_A,
     series_density_B,
     small_prime_hit_density,
@@ -111,8 +110,6 @@ def test_exact_gcd_members():
     q5 = GcdQuery(F, 5)
     members = [n for n in range(1, 101) if membership(q5, n).in_A]
     assert members == [15, 45, 75]
-    assert oracle_first_A(q5, 100) == 15
-    assert oracle_first_A(GcdQuery(F, 13), 2000) is None
 
 
 def test_not_pretty_target_is_empty_everywhere():

@@ -1,5 +1,6 @@
-"""Property tests: the rank kernels and the factorizer against plain
-iteration and plain trial division, on random inputs."""
+"""Property tests: the rank kernels, the factorizer and the pruned
+squarefree walk against plain iteration, plain trial division and plain
+loops, on random inputs."""
 
 import math
 import time
@@ -10,9 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyngcd.arith_core import factorize
+from dyngcd.density_lab import (
+    GcdQuery,
+    count_oracle,
+    floor_identity_B,
+    series_density_A,
+    series_density_B,
+)
 from dyngcd.orbit_engine import (
     INF,
     IntPolynomial,
+    OrdCache,
+    classify_orbit,
+    ell,
     first_zero_scan,
     ord_crt,
     ord_direct_capped,
@@ -150,6 +161,59 @@ def test_factorize_products_of_known_primes(picks):
             factorize(n)
     else:
         assert factorize(n).factors == tuple(sorted(exps.items()))
+
+
+# ---------------------------------------------------------------------------
+# squarefree walk: floor identity and both density series
+# ---------------------------------------------------------------------------
+
+WANDERING = st.builds(
+    lambda low, lead: IntPolynomial(tuple(low) + (lead,)),
+    st.integers(1, 2).flatmap(lambda d: st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1)),
+    st.integers(1, 3),
+).filter(lambda F: classify_orbit(F).wandering)
+# most k > 6 are not pretty and give empty sums; draw small k more often
+SMALL_K = st.one_of(st.integers(1, 6), st.integers(1, 30))
+
+
+def plain_series(F: IntPolynomial, k: int, T: int, coprime: bool) -> tuple[float, float]:
+    """sum of mu(t) / ell(t*k) over squarefree t <= T (coprime to k when
+    asked), in ascending t, and the same sum of 1/ell over T/2 < t <= T."""
+    cache = OrdCache.for_poly(F)
+    total = block = 0.0
+    for t in range(1, T + 1):
+        factors = factorize(t).factors
+        if any(e > 1 for _, e in factors) or (coprime and math.gcd(t, k) > 1):
+            continue
+        lt = ell(F, t * k, cache)
+        if lt == INF:
+            continue
+        total += (-1) ** len(factors) / lt
+        if t > T // 2:
+            block += 1.0 / lt
+    return total, block
+
+
+def close(got: float, want: float) -> bool:
+    # the walk sums depth first, the plain loop in ascending t
+    return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(F=WANDERING, k=SMALL_K, x=st.integers(1, 600))
+def test_floor_identity_matches_oracle(F, k, x):
+    q = GcdQuery(F, k)
+    assert floor_identity_B(q, x) == count_oracle(q, x)[1]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(F=WANDERING, k=SMALL_K, T=st.integers(1, 300))
+def test_series_match_plain_loop_over_squarefree_t(F, k, T):
+    q = GcdQuery(F, k)
+    for fn, coprime in ((series_density_B, True), (series_density_A, False)):
+        got = fn(q, T)
+        want = plain_series(F, k, T, coprime)
+        assert close(got.value, want[0]) and close(got.last_block, want[1]), fn.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dyngcd.orbit_engine import (
     classify_orbit,
     ell,
     first_zero_scan,
-    gcd_index_term,
     growth_constant_estimate,
     nu_p_of_a,
     ord_crt,
@@ -169,12 +168,6 @@ def test_joint_rank_anchors():
         assert ell(F, n) == le
 
 
-def test_gcd_index_term():
-    assert gcd_index_term(F, 9) == 1
-    assert gcd_index_term(F, 15) == 5
-    assert gcd_index_term(F, 1) == 1
-
-
 # ---------------------------------------------------------------------------
 # vector kernel
 # ---------------------------------------------------------------------------
@@ -221,9 +214,9 @@ def test_cache_round_trip(tmp_path):
     path = tmp_path / "ranks.csv"
     c.save(path)
     c2 = OrdCache.load(path, expect=F)
-    assert c2.get(5) == 3
-    assert c2.get(3) == INF
-    assert c2.get(7) is None
+    assert c2.ranks.get(5) == 3
+    assert c2.ranks.get(3) == INF
+    assert c2.ranks.get(7) is None
 
 
 def test_cache_conflict_and_poly_mismatch(tmp_path):
@@ -267,19 +260,10 @@ def test_cache_save_replaces_atomically(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["ranks.csv"]
 
 
-def test_cache_merge():
-    c1 = OrdCache.for_poly(F)
-    c1.put(5, 3)
-    c2 = OrdCache.for_poly(F)
-    c2.put(13, 4)
-    c1.merge(c2)
-    assert c1.get(13) == 4
-
-
 def test_cache_rank_of_computes_and_stores():
     c = OrdCache.for_poly(F)
     assert c.rank_of(F, 13) == 4
-    assert c.get(13) == 4
+    assert c.ranks.get(13) == 4
 
 
 # ---------------------------------------------------------------------------
