@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -50,32 +49,28 @@ from .verify import DEFAULT_POLYS, run_suites
 _DENSITY_ORACLE_MAX = 2 * 10**4
 
 
-@dataclass
-class RunConfig:
-    cache: Path | None = None
-
-    @classmethod
-    def from_args(cls, ns) -> "RunConfig":
-        cache = None
-        raw = getattr(ns, "cache", None)
-        if raw:
-            cache = Path(raw)
-            base = os.environ.get("DYNGCD_CACHE_DIR")
-            if base and not cache.is_absolute():
-                cache = Path(base) / cache
-        return cls(cache=cache)
+def _cache_path(ns) -> Path | None:
+    """The --cache file; a relative path resolves under $DYNGCD_CACHE_DIR
+    when that is set."""
+    if not ns.cache:
+        return None
+    path = Path(ns.cache)
+    base = os.environ.get("DYNGCD_CACHE_DIR")
+    return Path(base) / path if base and not path.is_absolute() else path
 
 
-def _load_cache(cfg: RunConfig, F) -> OrdCache:
-    if cfg.cache is not None and cfg.cache.exists():
-        return OrdCache.load(cfg.cache, expect=F)
+def _load_cache(ns, F) -> OrdCache:
+    path = _cache_path(ns)
+    if path is not None and path.exists():
+        return OrdCache.load(path, expect=F)
     return OrdCache.for_poly(F)
 
 
-def _save_cache(cfg: RunConfig, cache: OrdCache) -> None:
-    if cfg.cache is not None:
-        cfg.cache.parent.mkdir(parents=True, exist_ok=True)
-        cache.save(cfg.cache)
+def _save_cache(ns, cache: OrdCache) -> None:
+    path = _cache_path(ns)
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        cache.save(path)
 
 
 def _fmt_rank(r) -> str:
@@ -87,7 +82,7 @@ def _fmt_rank(r) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(ns, cfg: RunConfig) -> int:
+def cmd_classify(ns) -> int:
     F = parse_polynomial(ns.poly)
     oc = classify_orbit(F)
     if oc.wandering:
@@ -100,42 +95,41 @@ def cmd_classify(ns, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_ord(ns, cfg: RunConfig) -> int:
+def cmd_ord(ns) -> int:
     F = parse_polynomial(ns.poly)
     require_wandering(F)
-    cache = _load_cache(cfg, F)
+    cache = _load_cache(ns, F)
     for n in ns.n:
         if n < 1:
             raise ValueError("n must be >= 1")
         r = ord_crt(F, n, cache)  # r <= n: no lcm overflow for n below 2^64
         le = INF if r == INF else math.lcm(n, int(r))
         print(f"n={n} ord={_fmt_rank(r)} ell={_fmt_rank(le)}")
-    _save_cache(cfg, cache)
+    _save_cache(ns, cache)
     return 0
 
 
-def cmd_scan(ns, cfg: RunConfig) -> int:
+def cmd_scan(ns) -> int:
     F = parse_polynomial(ns.poly)
     if ns.pmax < 2:
         raise ValueError("--pmax must be >= 2")
     records = scan_primes(F, ns.pmin, ns.pmax)
-    cache = _load_cache(cfg, F)
+    cache = _load_cache(ns, F)
     for rec in records:
         cache.put(rec.p, rec.ord)
-    _save_cache(cfg, cache)
+    _save_cache(ns, cache)
     sys.stdout.write(scan_csv(records))
     return 0
 
 
-def cmd_density(ns, cfg: RunConfig) -> int:
+def cmd_density(ns) -> int:
     F = parse_polynomial(ns.poly)
-    q = GcdQuery(F, ns.k)
+    q = GcdQuery(F, ns.k, cache=_load_cache(ns, F))
     method = ns.method
     if method is None:
         method = "both" if ns.x <= _DENSITY_ORACLE_MAX else "sieve"
-    cache = _load_cache(cfg, F)
-    report = build_density_report(q, ns.x, method=method, T=ns.T, cache=cache)
-    _save_cache(cfg, cache)
+    report = build_density_report(q, ns.x, method=method, T=ns.T)
+    _save_cache(ns, q.cache)
     if ns.format == "json":
         print(report.to_json())
     elif ns.format == "csv":
@@ -161,23 +155,22 @@ def cmd_density(ns, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_series(ns, cfg: RunConfig) -> int:
+def cmd_series(ns) -> int:
     F = parse_polynomial(ns.poly)
-    q = GcdQuery(F, ns.k)
-    cache = _load_cache(cfg, F)
+    q = GcdQuery(F, ns.k, cache=_load_cache(ns, F))
     ts = sorted(set(t for t in (ns.T // 4, ns.T // 2, ns.T) if t >= 1))
     print("T,series_B,last_block_B,series_A,last_block_A")
     for t in ts:
-        sb = series_density_B(q, t, cache)
-        sa = series_density_A(q, t, cache)
+        sb = series_density_B(q, t)
+        sa = series_density_A(q, t)
         print(
             f"{t},{sb.value:.9f},{sb.last_block:.3e},{sa.value:.9f},{sa.last_block:.3e}"
         )
-    _save_cache(cfg, cache)
+    _save_cache(ns, q.cache)
     return 0
 
 
-def cmd_verify(ns, cfg: RunConfig) -> int:
+def cmd_verify(ns) -> int:
     polys = [parse_polynomial(p) for p in ns.poly] if ns.poly else list(DEFAULT_POLYS)
     failed = 0
     for F in polys:
@@ -191,13 +184,12 @@ def cmd_verify(ns, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_coprime(ns, cfg: RunConfig) -> int:
+def cmd_coprime(ns) -> int:
     F = parse_polynomial(ns.poly)
-    q = GcdQuery(F, 1, linear=(ns.a, ns.b))
-    cache = _load_cache(cfg, F)
+    q = GcdQuery(F, 1, linear=(ns.a, ns.b), cache=_load_cache(ns, F))
     zs = [z for z in (ns.z or [10, 100, 1000]) if 2 <= z]
-    report = linear_coprime_report(q, ns.x, zs, cache)
-    _save_cache(cfg, cache)
+    report = linear_coprime_report(q, ns.x, zs)
+    _save_cache(ns, q.cache)
     if ns.format == "json":
         print(report.to_json())
     else:
@@ -213,7 +205,7 @@ def cmd_coprime(ns, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_diag(ns, cfg: RunConfig) -> int:
+def cmd_diag(ns) -> int:
     F = parse_polynomial(ns.poly)
     require_wandering(F)
     x = ns.x
@@ -254,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="orbit type of 0")
+    p = sub.add_parser("classify", help="orbit type of 0")
     p.add_argument("--poly", required=True)
     p.set_defaults(func=cmd_classify)
 
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("verify", parents=[common], help="run the invariant suites")
+    p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--poly", action="append")
     p.add_argument("--bound", type=int, default=300)
     p.set_defaults(func=cmd_verify)
@@ -298,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_coprime)
 
-    p = sub.add_parser("diag", parents=[common], help="diagnostic tables")
+    p = sub.add_parser("diag", help="diagnostic tables")
     p.add_argument("--poly", required=True)
     p.add_argument("--x", type=int, default=10**4)
     p.add_argument("--beta", type=float, default=0.5)
@@ -313,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(ns)
-        return ns.func(ns, cfg)
+        return ns.func(ns)
     except (ParseError, PreperiodicOrbitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -46,19 +46,27 @@ class SelfCheckError(AssertionError):
 
 @dataclass(frozen=True)
 class GcdQuery:
-    """A polynomial together with the gcd target k and the index form G.
+    """A polynomial together with the gcd target k, the index form G and the
+    rank cache of F.
 
     linear is None for G(x) = x, else the pair (a, b) meaning G(x) = a*x + b
     with a, b >= 1 and gcd(a, b) = 1.  Density operations with k > 1 are only
-    defined for the identity form.
+    defined for the identity form.  cache defaults to a fresh OrdCache for F;
+    queries built with one cache (or derived with dataclasses.replace) share
+    every rank they compute.  It takes no part in equality or hashing.
     """
 
     F: IntPolynomial
     k: int
     linear: tuple[int, int] | None = None
+    cache: OrdCache = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         require_wandering(self.F)
+        if self.cache is not None:
+            self.cache._check_poly(self.F)
+        else:
+            object.__setattr__(self, "cache", OrdCache.for_poly(self.F))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.linear is not None:
@@ -180,14 +188,14 @@ def count_oracle(q: GcdQuery, x: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _rank_above(F: IntPolynomial, p: int, e: int, cache: OrdCache) -> int | float:
+def _rank_above(q: GcdQuery, p: int, e: int) -> int | float:
     """ord(p^(e+1)), INF when that modulus is out of range (then p^(e+1)
     never divides an orbit term the analysis can reach)."""
     pe1 = p ** (e + 1)
-    return INF if pe1 > 2**62 else cache.rank_of(F, pe1)
+    return INF if pe1 > 2**62 else q.cache.rank_of(q.F, pe1)
 
 
-def count_sieve(q: GcdQuery, x: int, cache: OrdCache | None = None) -> tuple[int, int]:
+def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
     """(#A(x), #B(x)) from the rank structure, no per-index orbit work.
 
     B(k) is exactly the multiples of ell(k) that avoid every ell(p) for
@@ -200,9 +208,7 @@ def count_sieve(q: GcdQuery, x: int, cache: OrdCache | None = None) -> tuple[int
     q._identity_only("count_sieve")
     if x < 1:
         raise ValueError("x must be >= 1")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    F, k = q.F, q.k
+    F, k, cache = q.F, q.k, q.cache
     if ord_crt(F, k, cache) == INF:
         return 0, 0
     lk = ell(F, k, cache)
@@ -227,7 +233,7 @@ def count_sieve(q: GcdQuery, x: int, cache: OrdCache | None = None) -> tuple[int
         if cache.rank_of(F, p**e) == INF:
             # unreachable once ord(k) is finite; kept as a hard guard
             return 0, count_b
-        o1 = _rank_above(F, p, e, cache)
+        o1 = _rank_above(q, p, e)
         if o1 == INF:
             continue  # excess index valuation is harmless
         s1 = int(o1) // math.gcd(int(o1), lk)
@@ -246,26 +252,26 @@ def count_sieve(q: GcdQuery, x: int, cache: OrdCache | None = None) -> tuple[int
 
 
 def _pretty_prime_pool(
-    records, cache: OrdCache, coprime_to: int = 1
+    q: GcdQuery, records, coprime_to: int = 1
 ) -> list[tuple[int, int]]:
     """(p, ord(p)) for every prime of a scan_primes result whose rank the
-    scan found finite, leaving out the primes dividing coprime_to.  Callers
-    spell each scan the same way, since lru_cache keys on the spelling."""
+    scan found finite, leaving out the primes dividing coprime_to; each rank
+    goes into q's cache.  Callers spell each scan the same way, since
+    lru_cache keys on the spelling."""
     pool = []
     for rec in records:
         if coprime_to % rec.p == 0 or rec.ord is None or rec.ord == INF:
             continue
         pool.append((rec.p, int(rec.ord)))
-        cache.put(rec.p, int(rec.ord))
+        q.cache.put(rec.p, int(rec.ord))
     return pool
 
 
 def _squarefree_walk(
+    q: GcdQuery,
     pool: list[tuple[int, int]],
-    k: int,
     rk: int,
     d_max: int,
-    cache: OrdCache,
     ell_max: int | float = INF,
 ):
     """Yield (d, mu(d), ell(d*k)) for every squarefree d <= d_max built from
@@ -273,10 +279,11 @@ def _squarefree_walk(
 
     pool holds (p, r) pairs ascending in p, where r is the rank p brings into
     ord(d*k) = lcm(ord(k), r for p | d), and rk = ord(k).  An lcm beyond 64
-    bits is noted on the cache and its term is skipped.  A finite ell_max
+    bits is noted on q's cache and its term is skipped.  A finite ell_max
     ends a branch at its first ell(d*k) > ell_max (or overflow): ell only
     grows as d picks up more primes.
     """
+    k, cache = q.k, q.cache
 
     def walk(i: int, d: int, ord_d: int, mu: int):
         ord_dk = lcm_checked(ord_d, rk)
@@ -302,7 +309,7 @@ def _squarefree_walk(
     return walk(0, 1, 1, 1)
 
 
-def floor_identity_B(q: GcdQuery, x: int, cache: OrdCache | None = None) -> int:
+def floor_identity_B(q: GcdQuery, x: int) -> int:
     """#B(x) as the exact finite sum over pretty squarefree d coprime to k:
 
         sum mu(d) * floor(x / ell(d*k))
@@ -314,18 +321,16 @@ def floor_identity_B(q: GcdQuery, x: int, cache: OrdCache | None = None) -> int:
     q._identity_only("floor_identity_B")
     if x < 1:
         raise ValueError("x must be >= 1")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    F, k = q.F, q.k
+    F, k, cache = q.F, q.k, q.cache
     rk = ord_crt(F, k, cache)
     if rk == INF:
         return 0
     lk = ell(F, k, cache)
     if lk == INF or lk > x:
         return 0
-    pool = _pretty_prime_pool(scan_primes(F, 2, x, sieve_bound=x), cache, coprime_to=k)
+    pool = _pretty_prime_pool(q, scan_primes(F, 2, x, sieve_bound=x), coprime_to=k)
     pool = [(p, r) for p, r in pool if math.lcm(p, r) <= x]  # ell(p) <= x
-    walk = _squarefree_walk(pool, k, int(rk), x, cache, ell_max=x)
+    walk = _squarefree_walk(q, pool, int(rk), x, ell_max=x)
     return sum(mu * (x // ld) for _, mu, ld in walk)
 
 
@@ -336,40 +341,36 @@ class SeriesTruncation:
     last_block: float
 
 
-def _series(q: GcdQuery, T: int, cache: OrdCache | None, of_A: bool) -> SeriesTruncation:
+def _series(q: GcdQuery, T: int, of_A: bool) -> SeriesTruncation:
     """sum mu(d) / ell(d*k) over the squarefree d <= T of the walk, summed in
     its order, for B(k) or (of_A) for A(k); last_block sums 1/ell(d*k) over
     T/2 < d <= T."""
     q._identity_only("series_density_A" if of_A else "series_density_B")
     if T < 1:
         raise ValueError("T must be >= 1")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
     F, k = q.F, q.k
-    rk = ord_crt(F, k, cache)
+    rk = ord_crt(F, k, q.cache)
     if rk == INF:
         return SeriesTruncation(T, 0.0, 0.0)
-    pool = _pretty_prime_pool(scan_primes(F, 2, T), cache, coprime_to=k)
+    pool = _pretty_prime_pool(q, scan_primes(F, 2, T), coprime_to=k)
     if of_A:
         for p, e in factorize(k).factors:
             if p <= T:
-                r = _rank_above(F, p, e, cache)
+                r = _rank_above(q, p, e)
                 if r != INF:
                     pool.append((p, int(r)))
         pool.sort()
     total = 0.0
     block = 0.0
     half = T // 2
-    for d, mu, ld in _squarefree_walk(pool, k, int(rk), T, cache):
+    for d, mu, ld in _squarefree_walk(q, pool, int(rk), T):
         total += mu / ld
         if d > half:
             block += 1.0 / ld
     return SeriesTruncation(T, total, block)
 
 
-def series_density_B(
-    q: GcdQuery, T: int, cache: OrdCache | None = None
-) -> SeriesTruncation:
+def series_density_B(q: GcdQuery, T: int) -> SeriesTruncation:
     """Truncation at T of the density series for B(k):
 
         sum over squarefree d <= T coprime to k of mu(d) / ell(d*k).
@@ -377,12 +378,10 @@ def series_density_B(
     Only pretty d contribute (infinite ell kills the term).  last_block is
     the absolute tail sum over T/2 < d <= T, the reported convergence gauge.
     """
-    return _series(q, T, cache, of_A=False)
+    return _series(q, T, of_A=False)
 
 
-def series_density_A(
-    q: GcdQuery, T: int, cache: OrdCache | None = None
-) -> SeriesTruncation:
+def series_density_A(q: GcdQuery, T: int) -> SeriesTruncation:
     """Truncation at T of the density series for A(k):
 
         sum over all squarefree t <= T of mu(t) / ell(t*k),
@@ -396,17 +395,13 @@ def series_density_A(
     series with each prime of k admitted at rank ord(p^(v_p(k)+1)), and left
     out when that rank is infinite.
     """
-    return _series(q, T, cache, of_A=True)
+    return _series(q, T, of_A=True)
 
 
-def count_A_inclusion_exclusion(
-    q: GcdQuery, x: int, cache: OrdCache | None = None
-) -> int:
+def count_A_inclusion_exclusion(q: GcdQuery, x: int) -> int:
     """#A(x) = sum over squarefree d | k~ of mu(d) * #B(d*k)(x), where k~ is
     the radical of k.  A finite-x consistency route, used by the checks."""
     q._identity_only("count_A_inclusion_exclusion")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
     primes = factorize(q.k).prime_set()
     total = 0
     for bits in range(1 << len(primes)):
@@ -416,8 +411,7 @@ def count_A_inclusion_exclusion(
             if bits >> i & 1:
                 d *= p
                 mu = -mu
-        sub = GcdQuery(q.F, d * q.k)
-        total += mu * count_sieve(sub, x, cache)[1]
+        total += mu * count_sieve(replace(q, k=d * q.k), x)[1]
     return total
 
 
@@ -436,15 +430,13 @@ class NonemptyVerdict:
 _WITNESS_CHECK_MAX = 10**6
 
 
-def b_nonempty(q: GcdQuery, cache: OrdCache | None = None) -> NonemptyVerdict:
+def b_nonempty(q: GcdQuery) -> NonemptyVerdict:
     """Whether B(k) has any element at all: k must be pretty, and no prime p
     outside k may have ell(p) | ell(k).  Only primes dividing ell(k) can
     violate that, so the check is finite; when it passes, n = ell(k) itself
     is a member."""
     q._identity_only("b_nonempty")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    F, k = q.F, q.k
+    F, k, cache = q.F, q.k, q.cache
     if ord_crt(F, k, cache) == INF:
         return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
     lk = ell(F, k, cache)
@@ -466,20 +458,28 @@ def b_nonempty(q: GcdQuery, cache: OrdCache | None = None) -> NonemptyVerdict:
     return NonemptyVerdict(True, lk, f"ell({k})={lk} is a member of B")
 
 
-def a_nonempty(q: GcdQuery, cache: OrdCache | None = None) -> NonemptyVerdict:
+def a_nonempty(q: GcdQuery) -> NonemptyVerdict:
     """Whether A(k) has any element: exactly when gcd(ell(k), a_ell(k)) = k,
-    in which case n = ell(k) is the witness."""
+    in which case n = ell(k) is the witness.
+
+    The gcd comes from ranks, not from ell(k) Horner steps: p^e | a_n exactly
+    when ord(p^e) | n, so for p^f || ell(k) the gcd holds p to the largest
+    power e <= f with ord(p^e) | ell(k)."""
     q._identity_only("a_nonempty")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    F, k = q.F, q.k
+    F, k, cache = q.F, q.k, q.cache
     if ord_crt(F, k, cache) == INF:
         return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
     lk = ell(F, k, cache)
     if lk == INF:
         return NonemptyVerdict(False, None, f"ell({k}) exceeds the analysis range")
     lk = int(lk)
-    g = 1 if lk == 1 else math.gcd(lk, a_mod(F, lk, lk))
+    g = 1
+    for p, f in factorize(lk).factors:
+        for e in range(1, f + 1):
+            r = cache.rank_of(F, p**e)
+            if r == INF or lk % int(r):
+                break
+            g *= p
     if lk <= _WITNESS_CHECK_MAX:
         mv = membership(q, lk)
         if mv.in_A != (g == k):
@@ -507,25 +507,21 @@ class LkSet:
     ratio_sources: dict[int, int]
 
 
-def build_Lk(
-    q: GcdQuery, bound: int, cache: OrdCache | None = None
-) -> tuple[LkSet, float]:
+def build_Lk(q: GcdQuery, bound: int) -> tuple[LkSet, float]:
     """The avoidance set with all elements <= bound drawn from primes
     p <= bound, together with sum 1/s over its elements (the convergence
     gauge: a finite sum keeps the avoiding set positive-density)."""
     q._identity_only("build_Lk")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    F, k = q.F, q.k
+    F, k, cache = q.F, q.k, q.cache
     lk = ell(F, k, cache)
     if lk == INF:
         raise ValueError("avoidance set needs pretty k")
     lk = int(lk)
     prime_elements = tuple(p for p in factorize(k).prime_set() if p <= bound)
     ratio_sources: dict[int, int] = {}
-    for p, op in _pretty_prime_pool(scan_primes(F, 2, bound), cache, coprime_to=k):
+    for p, op in _pretty_prime_pool(q, scan_primes(F, 2, bound), coprime_to=k):
         lkp = ell(F, p * k, cache)
         if lkp == INF:
             continue
@@ -552,16 +548,14 @@ def non_multiples_count(elements, x: int) -> int:
     return int(alive.sum())
 
 
-def y_k_lower_bound(q: GcdQuery, x: int, cache: OrdCache | None = None) -> int:
+def y_k_lower_bound(q: GcdQuery, x: int) -> int:
     """#(ell(k) * N(L_k)) up to x: a certified lower bound for #B(x), and for
     #A(x) when F has zero linear coefficient (rigid divisibility)."""
     q._identity_only("y_k_lower_bound")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    lk = ell(q.F, q.k, cache)
+    lk = ell(q.F, q.k, q.cache)
     if lk == INF or lk > x:
         return 0
-    lset, _ = build_Lk(q, x, cache)
+    lset, _ = build_Lk(q, x)
     if 1 in lset.elements:
         return 0
     M = x // int(lk)
@@ -595,12 +589,10 @@ class HitDensity:
 _UNION_NODE_MAX = 200_000
 
 
-def _hit_progressions(
-    q: GcdQuery, z: int, cache: OrdCache
-) -> list[tuple[int, int]]:
+def _hit_progressions(q: GcdQuery, z: int) -> list[tuple[int, int]]:
     a, b = q.linear
     progs = []
-    for p, op in _pretty_prime_pool(scan_primes(q.F, 2, z), cache):
+    for p, op in _pretty_prime_pool(q, scan_primes(q.F, 2, z)):
         if a % p == 0:
             continue  # a*n+b is never divisible by p
         rp = (-b * pow(a, -1, p)) % p
@@ -611,17 +603,13 @@ def _hit_progressions(
     return progs
 
 
-def small_prime_hit_density(
-    q: GcdQuery, z: int, x: int, cache: OrdCache | None = None
-) -> HitDensity:
+def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
     """How much of [1, x] is hit by pretty primes up to z (linear form only)."""
     if q.linear is None:
         raise ValueError("hit density is defined for linear forms")
     if z < 2 or x < 1:
         raise ValueError("need z >= 2 and x >= 1")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
-    progs = _hit_progressions(q, z, cache)
+    progs = _hit_progressions(q, z)
     mask = np.zeros(x + 1, dtype=bool)
     for r, m in progs:
         start = r if r >= 1 else m
@@ -700,9 +688,7 @@ class CoprimeReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def linear_coprime_report(
-    q: GcdQuery, x: int, z_schedule, cache: OrdCache | None = None
-) -> CoprimeReport:
+def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
     """Count gcd(a*n+b, a_n) = 1 up to x and check it against the bound
 
         density >= 1 - delta_z - sum over pretty p in (z, a*x+b] of 1/(p ord(p))
@@ -715,17 +701,15 @@ def linear_coprime_report(
         raise ValueError("coprime report needs a linear form with k = 1")
     if x < 1:
         raise ValueError("x must be >= 1")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
     a, b = q.linear
     g = _gcd_vector(q.F, x, q.linear)
     count = int((g[1:] == 1).sum())
     density = count / x
     pmax = a * x + b
-    tail_pool = _pretty_prime_pool(scan_primes(q.F, 2, pmax), cache)
+    tail_pool = _pretty_prime_pool(q, scan_primes(q.F, 2, pmax))
     checkpoints = []
     for z in sorted(set(int(z) for z in z_schedule)):
-        hd = small_prime_hit_density(q, z, x, cache)
+        hd = small_prime_hit_density(q, z, x)
         if hd.exact is not None:
             hit = float(hd.exact)
         else:
@@ -802,11 +786,7 @@ class DensityReport:
 
 
 def build_density_report(
-    q: GcdQuery,
-    x: int,
-    method: str = "both",
-    T: int = 2000,
-    cache: OrdCache | None = None,
+    q: GcdQuery, x: int, method: str = "both", T: int = 2000
 ) -> DensityReport:
     """Assemble counts, the floor identity, series truncations at T/4, T/2, T
     and the nonemptiness verdicts into one report.  method 'both' recomputes
@@ -814,12 +794,10 @@ def build_density_report(
     q._identity_only("build_density_report")
     if method not in ("oracle", "sieve", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if cache is None:
-        cache = OrdCache.for_poly(q.F)
     flags: list[str] = []
     cps = sorted(set(cx for cx in (x // 4, x // 2, x) if cx >= 1))
     if method in ("sieve", "both"):
-        counts = {cx: count_sieve(q, cx, cache) for cx in cps}
+        counts = {cx: count_sieve(q, cx) for cx in cps}
     else:
         gv = _gcd_vector(q.F, x, None)
         counts = {cx: _counts_from_gvec(gv, q.k, cx) for cx in cps}
@@ -830,23 +808,23 @@ def build_density_report(
             raise SelfCheckError(
                 f"oracle ({oa}, {ob}) and sieve ({count_a}, {count_b}) disagree at x={x}"
             )
-    fi = floor_identity_B(q, x, cache)
+    fi = floor_identity_B(q, x)
     if method == "both" and fi != count_b:
         raise SelfCheckError(f"floor identity {fi} != count_B {count_b} at x={x}")
     ts = sorted(set(t for t in (T // 4, T // 2, T) if t >= 1))
-    series_b = [series_density_B(q, t, cache) for t in ts]
-    series_a = [series_density_A(q, t, cache) for t in ts]
-    nb = b_nonempty(q, cache)
-    na = a_nonempty(q, cache)
-    if ord_crt(q.F, q.k, cache) == INF:
+    series_b = [series_density_B(q, t) for t in ts]
+    series_a = [series_density_A(q, t) for t in ts]
+    nb = b_nonempty(q)
+    na = a_nonempty(q)
+    if ord_crt(q.F, q.k, q.cache) == INF:
         flags.append(f"k={q.k} is not pretty; identity and series are empty sums")
     if not na.holds and series_a and abs(series_a[-1].value) > series_a[-1].last_block:
         flags.append(
             "A is empty but its series truncation exceeds the last-block gauge"
         )
-    if cache.overflow_events:
+    if q.cache.overflow_events:
         flags.append(
-            "lcm overflow on moduli: " + ",".join(str(m) for m in cache.overflow_events)
+            "lcm overflow on moduli: " + ",".join(str(m) for m in q.cache.overflow_events)
         )
     return DensityReport(
         poly=q.F.coeff_key(),

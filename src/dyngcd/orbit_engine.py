@@ -473,6 +473,8 @@ class OrdCache:
 def ord_crt(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | float:
     """Rank of apparition of n composed from its prime powers:
     ord(n) = lcm of ord(p^e) over p^e || n, infinite as soon as one factor is.
+    p is ranked before p^e: ord(p) | ord(p^e), so an infinite ord(p) settles
+    the answer without walking the much longer orbit mod p^e.
 
     An lcm that leaves the 64-bit range is treated as infinite for analysis
     purposes and recorded on the cache as an overflow event.
@@ -485,6 +487,8 @@ def ord_crt(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | fl
         cache = OrdCache.for_poly(F)
     acc = 1
     for p, e in factorize(n).factors:
+        if e > 1 and cache.rank_of(F, p) == INF:
+            return INF
         r = cache.rank_of(F, p**e)
         if r == INF:
             return INF

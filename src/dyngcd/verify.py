@@ -274,8 +274,8 @@ def _suite_low_rank_growth(F, bound, cache, table):
 def _suite_oracle_sieve(F, bound, cache, table):
     x = min(5000, 50 * bound // 3)
     for k in range(1, 7):
-        q = GcdQuery(F, k)
-        if count_oracle(q, x) != count_sieve(q, x, cache):
+        q = GcdQuery(F, k, cache=cache)
+        if count_oracle(q, x) != count_sieve(q, x):
             return False, f"k={k}, x={x}: oracle and sieve disagree"
     return True, f"counts agree for k <= 6 at x = {x}"
 
@@ -283,10 +283,10 @@ def _suite_oracle_sieve(F, bound, cache, table):
 def _suite_floor_identity(F, bound, cache, table):
     xs = (100, 1000, min(5000, 50 * bound // 3))
     for k in range(1, 7):
-        q = GcdQuery(F, k)
+        q = GcdQuery(F, k, cache=cache)
         for x in xs:
-            fi = floor_identity_B(q, x, cache)
-            cb = count_sieve(q, x, cache)[1]
+            fi = floor_identity_B(q, x)
+            cb = count_sieve(q, x)[1]
             if fi != cb:
                 return False, f"k={k}, x={x}: floor sum {fi} vs count {cb}"
     return True, f"floor sum exact for k <= 6, x in {xs}"
@@ -295,9 +295,9 @@ def _suite_floor_identity(F, bound, cache, table):
 def _suite_inclusion_exclusion(F, bound, cache, table):
     x = 2000
     for k in range(1, 7):
-        q = GcdQuery(F, k)
-        via_ie = count_A_inclusion_exclusion(q, x, cache)
-        ca = count_sieve(q, x, cache)[0]
+        q = GcdQuery(F, k, cache=cache)
+        via_ie = count_A_inclusion_exclusion(q, x)
+        ca = count_sieve(q, x)[0]
         if via_ie != ca:
             return False, f"k={k}: inclusion-exclusion {via_ie} vs direct {ca}"
     return True, f"A-counts decompose over divisors of k at x = {x}"
@@ -308,8 +308,8 @@ def _suite_nonempty(F, bound, cache, table):
     g = _gcd_vector(F, xprobe, None)
     checked = 0
     for k in range(1, bound // 6 + 1):
-        q = GcdQuery(F, k)
-        nb, na = b_nonempty(q, cache), a_nonempty(q, cache)
+        q = GcdQuery(F, k, cache=cache)
+        nb, na = b_nonempty(q), a_nonempty(q)
         lk = ell(F, k, cache)
         bmask = _b_mask(g[1:], k)
         bfirst = int(np.nonzero(bmask)[0][0]) + 1 if bmask.any() else None
@@ -331,9 +331,9 @@ def _suite_nonempty(F, bound, cache, table):
 def _suite_series_cauchy(F, bound, cache, table):
     T = bound // 2
     for k in (1, 2, 5):
-        q = GcdQuery(F, k)
+        q = GcdQuery(F, k, cache=cache)
         for fn in (series_density_B, series_density_A):
-            s1, s2 = fn(q, T, cache), fn(q, 2 * T, cache)
+            s1, s2 = fn(q, T), fn(q, 2 * T)
             if abs(s2.value - s1.value) > s2.last_block + 1e-12:
                 return False, (
                     f"k={k}: |S({2 * T}) - S({T})| = {abs(s2.value - s1.value):.3e}"
@@ -358,10 +358,10 @@ def _suite_subset_collapse(F, bound, cache, table):
 def _suite_y_lower_bound(F, bound, cache, table):
     nicer = len(F.coeffs) > 1 and F.coeffs[1] == 0
     for k in (1, 2, 5):
-        q = GcdQuery(F, k)
+        q = GcdQuery(F, k, cache=cache)
         for x in (100, 1000, min(5000, 50 * bound // 3)):
-            y = y_k_lower_bound(q, x, cache)
-            ca, cb = count_sieve(q, x, cache)
+            y = y_k_lower_bound(q, x)
+            ca, cb = count_sieve(q, x)
             if y > cb:
                 return False, f"k={k}, x={x}: bound {y} above #B = {cb}"
             if nicer and y > ca:

@@ -95,10 +95,9 @@ def test_acceptance_04_invariant_suites():
 def test_acceptance_05_series_tracks_density_at_scale():
     t0 = time.time()
     q = GcdQuery(F1, 1)
-    cache = OrdCache.for_poly(F1)
-    truncs = {T: series_density_A(q, T, cache) for T in (500, 1000, 2000)}
-    ca, cb = count_sieve(q, 10**5, cache)
-    fi = floor_identity_B(q, 10**5, cache)
+    truncs = {T: series_density_A(q, T) for T in (500, 1000, 2000)}
+    ca, cb = count_sieve(q, 10**5)
+    fi = floor_identity_B(q, 10**5)
     ratio = ca / 10**5
     gap = abs(truncs[2000].value - ratio)
     steps_ok = (
@@ -171,8 +170,8 @@ def test_acceptance_09_nonemptiness_criteria():
     cache = OrdCache.for_poly(F1)
     bad = []
     for k in range(1, 51):
-        q = GcdQuery(F1, k)
-        nb, na = b_nonempty(q, cache), a_nonempty(q, cache)
+        q = GcdQuery(F1, k, cache=cache)
+        nb, na = b_nonempty(q), a_nonempty(q)
         lk = ell(F1, k, cache)
         bm = _b_mask(g[1:], k)
         bfirst = int(np.nonzero(bm)[0][0]) + 1 if bm.any() else None

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dyngcd
 from dyngcd.cli import main
 
 
@@ -152,6 +157,14 @@ def test_corrupt_cache_exit_code(tmp_path, capsys):
     assert rc == 3 and out == "" and "999" in err
 
 
+def test_cache_only_on_commands_that_use_it(capsys):
+    for argv in (["verify", "--bound", "30"], ["classify", "--poly", "x^2+1"],
+                 ["diag", "--poly", "x^2+1"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--cache", "x.csv"])
+        assert ei.value.code == 2
+
+
 def test_cache_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DYNGCD_CACHE_DIR", str(tmp_path))
     rc, _, _ = run(capsys, "ord", "--poly", "x^2+1", "--n", "5", "--cache", "sub/r.csv")
@@ -207,3 +220,30 @@ def test_missing_required_argument(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["density", "--poly", "x^2+1"])
     assert ei.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# time budgets (a child process, so that a regression cannot hang the run)
+# ---------------------------------------------------------------------------
+
+
+def run_within(seconds, *argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(dyngcd.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "dyngcd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=seconds)
+
+
+def test_density_with_huge_ell_within_budget():
+    # ell(k) is about 1.17 * 10^16: far too many steps to iterate to a_ell(k)
+    res = run_within(5, "density", "--poly", "x^2+1", "--k", "3107672507741",
+                     "--x", "5000", "--method", "sieve")
+    assert res.returncode == 0
+    assert "count_A 0  count_B 0  floor_identity 0" in res.stdout
+    assert "nonempty_A False  nonempty_B False  witness None" in res.stdout
+
+
+def test_ord_of_prime_power_of_rankless_prime_within_budget():
+    # ord(5) is infinite for x^2+x+1, so ord(5^20) is too, with no walk mod 5^20
+    res = run_within(5, "ord", "--poly", "x^2+x+1", "--n", "95367431640625")
+    assert res.returncode == 0
+    assert res.stdout == "n=95367431640625 ord=inf ell=inf\n"

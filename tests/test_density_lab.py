@@ -1,9 +1,19 @@
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dyngcd.orbit_engine import INF, PreperiodicOrbitError, parse_polynomial
+from dyngcd.orbit_engine import (
+    INF,
+    CacheMismatchError,
+    OrdCache,
+    PreperiodicOrbitError,
+    a_mod,
+    ell,
+    parse_polynomial,
+)
 from dyngcd.density_lab import (
     GcdQuery,
     SelfCheckError,
@@ -24,6 +34,7 @@ from dyngcd.density_lab import (
     small_prime_hit_density,
     y_k_lower_bound,
 )
+from dyngcd.verify import DEFAULT_POLYS
 
 F = parse_polynomial("x^2+1")
 
@@ -72,6 +83,41 @@ def test_membership_values():
 def test_membership_linear_form():
     mv = membership(GcdQuery(F, 1, linear=(2, 1)), 12)
     assert mv.g == 5 and not mv.in_A
+
+
+def _every_route(q: GcdQuery) -> tuple:
+    return (
+        count_sieve(q, 600),
+        floor_identity_B(q, 600),
+        series_density_B(q, 300),
+        series_density_A(q, 300),
+        b_nonempty(q),
+        a_nonempty(q),
+        build_density_report(q, 600, method="sieve", T=200),
+    )
+
+
+def test_shared_cache_matches_fresh_queries():
+    for G in DEFAULT_POLYS:
+        shared = OrdCache.for_poly(G)
+        for k in (1, 2, 5, 10, 13):
+            q = GcdQuery(G, k, cache=shared)
+            assert q.cache is shared
+            assert _every_route(q) == _every_route(GcdQuery(G, k))
+        assert shared.ranks
+
+
+def test_query_cache_follows_replace_and_stays_out_of_eq():
+    q = GcdQuery(F, 5)
+    sub = replace(q, k=10)
+    assert sub.cache is q.cache
+    assert q == GcdQuery(F, 5) and hash(q) == hash(GcdQuery(F, 5))
+    assert "cache" not in repr(q)
+
+
+def test_query_refuses_a_cache_of_another_polynomial():
+    with pytest.raises(CacheMismatchError):
+        GcdQuery(F, 1, cache=OrdCache.for_poly(parse_polynomial("x^2+x+1")))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +233,22 @@ def test_nonempty_rejections():
     assert not na.holds
     assert "ell(2)=2" in nb.reason
     assert "26" in na.reason
+
+
+def test_a_nonempty_gcd_from_ranks_matches_the_orbit():
+    """gcd(ell(k), a_ell(k)), read off the verdict, against a_mod."""
+    checked = 0
+    for G in DEFAULT_POLYS:
+        cache = OrdCache.for_poly(G)
+        for k in range(1, 400):
+            lk = ell(G, k, cache)
+            if lk == INF or lk > 10**4:
+                continue
+            na = a_nonempty(GcdQuery(G, k, cache=cache))
+            g = int(na.reason.split(" = ")[1].split()[0])
+            assert g == math.gcd(lk, a_mod(G, lk, lk)), (str(G), k)
+            checked += 1
+    assert checked >= 40
 
 
 # ---------------------------------------------------------------------------
