@@ -29,7 +29,7 @@ from .orbit_engine import (
     INF,
     IntPolynomial,
     OrdCache,
-    _horner_vec,
+    _a_mod_vec,
     a_mod,
     check_int64_horner,
     ell,
@@ -127,26 +127,20 @@ def membership(q: GcdQuery, n: int) -> MembershipVerdict:
 def _gcd_vector(F: IntPolynomial, x: int, linear: tuple[int, int] | None) -> np.ndarray:
     """g[n] = gcd(G(n), a_n) for 1 <= n <= x (g[0] = 0, unused).
 
-    One triangular pass: index n needs a_n mod G(n), so every index keeps its
-    own modulus and position n is captured at step n, after which the slice
-    shrinks.  Work is about x^2/2 Horner steps regardless of how many k values
-    are later queried against the same vector.
+    Index n needs a_n mod G(n), so every index is a lane with its own
+    modulus, and all lanes walk their residue orbits in lockstep.  Brent's
+    cycle detection stops lane n after about tail + period of the orbit mod
+    G(n) steps (about sqrt(G(n)) for a typical map) rather than n, using only
+    the periodicity of the residues: no ranks, no factorization.  Work is
+    done once, however many k values are later queried against the vector.
     """
     require_wandering(F)
     # the largest modulus, as a Python int: refuse before int64 can wrap it
     check_int64_horner(F.coeffs, x if linear is None else linear[0] * x + linear[1])
-    idx = np.arange(0, x + 1, dtype=np.int64)
-    if linear is None:
-        mods = idx.copy()
-        mods[0] = 1
-    else:
-        a, b = linear
-        mods = a * idx + b
-    v = np.zeros(x + 1, dtype=np.int64)
-    for i in range(1, x + 1):
-        v[i:] = _horner_vec(F.coeffs, v[i:], mods[i:])
-    g = np.gcd(mods, v)
-    g[0] = 0
+    n = np.arange(1, x + 1, dtype=np.int64)
+    mods = n if linear is None else linear[0] * n + linear[1]
+    g = np.zeros(x + 1, dtype=np.int64)
+    g[1:] = np.gcd(mods, _a_mod_vec(F.coeffs, mods, n))
     g.setflags(write=False)
     return g
 
@@ -794,6 +788,11 @@ def build_density_report(
     q._identity_only("build_density_report")
     if method not in ("oracle", "sieve", "both"):
         raise ValueError(f"unknown method {method!r}")
+    # work through a cache that shares q's ranks but logs its own overflows,
+    # so the flags name only what this report hit, not what earlier queries
+    # on the same cache did (note_overflow drops repeats)
+    shared = q.cache
+    q = replace(q, cache=OrdCache(shared.poly_key, shared.ranks))
     flags: list[str] = []
     cps = sorted(set(cx for cx in (x // 4, x // 2, x) if cx >= 1))
     if method in ("sieve", "both"):
@@ -826,6 +825,8 @@ def build_density_report(
         flags.append(
             "lcm overflow on moduli: " + ",".join(str(m) for m in q.cache.overflow_events)
         )
+    for m in q.cache.overflow_events:
+        shared.note_overflow(m)
     return DensityReport(
         poly=q.F.coeff_key(),
         k=q.k,

@@ -225,15 +225,29 @@ def a_value(F: IntPolynomial, n: int) -> int:
 
 
 def a_mod(F: IntPolynomial, n: int, m: int) -> int:
-    """a_n mod m by n reduced Horner steps."""
+    """a_n mod m, walking the residue orbit with Brent's cycle detection.
+
+    A tortoise waits at a_s, s the last power of two passed (0 at first).
+    The first step r with a_r = a_s proves a_s on the cycle and gives its
+    exact period lam = r - s; then a_n = a_(r + (n - r) mod lam), so the walk
+    ends after fewer than 3 (tail + period) + period steps, about sqrt(m) for
+    a typical map, and never more than n.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
     _check_modulus(m)
     if m == 1:
         return 0
-    v = 0
-    for _ in range(n):
+    v = tortoise = 0
+    pos, s = 0, 1
+    for r in range(1, n + 1):
         v = F.eval_mod(v, m)
+        if v == tortoise:
+            for _ in range((n - r) % (r - pos)):
+                v = F.eval_mod(v, m)
+            return v
+        if r == s:
+            tortoise, pos, s = v, s, 2 * s
     return v
 
 
@@ -339,6 +353,43 @@ def first_zero_scan(
             mods, caps, idx, v = mods[keep], caps[keep], idx[keep], v[keep]
             tortoise = tortoise[keep]
     return found
+
+
+def _a_mod_vec(
+    coeffs: tuple[int, ...], mods: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """a_targets[i] mod mods[i] for every lane, from int64 arrays with
+    targets >= 1 that passed check_int64_horner.  Semantically one a_mod per
+    lane, run in lockstep: all lanes share the tortoise schedule of a_mod
+    (positions 0, 1, 2, 4, ...), so a lane's first meeting with its tortoise
+    at step r gives its period r - pos, and its target moves down to the
+    first index past r congruent to it.  A lane retires at its target; each
+    costs fewer than 3 (tail + period) + period steps instead of targets[i]."""
+    targets = np.array(targets, dtype=np.int64)  # updated in place below
+    out = np.zeros(mods.shape, dtype=np.int64)
+    idx = np.arange(mods.size)
+    v = np.zeros(mods.size, dtype=np.int64)
+    tortoise = v
+    r, pos, s = 0, 0, 1
+    # the next step at which some lane retires; most steps retire none
+    nxt = int(targets.min()) if targets.size else 0
+    while mods.size:
+        r += 1
+        v = _horner_vec(coeffs, v, mods)
+        meet = v == tortoise
+        if meet.any():
+            targets[meet] = r + (targets[meet] - r) % (r - pos)
+            nxt = int(targets.min())
+        if r == s:
+            tortoise, pos, s = v, s, 2 * s
+        if r == nxt:
+            retire = targets == r
+            out[idx[retire]] = v[retire]
+            keep = ~retire
+            mods, targets, idx, v = mods[keep], targets[keep], idx[keep], v[keep]
+            tortoise = tortoise[keep]
+            nxt = int(targets.min()) if targets.size else 0
+    return out
 
 
 @lru_cache(maxsize=8)

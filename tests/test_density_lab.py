@@ -107,6 +107,19 @@ def test_shared_cache_matches_fresh_queries():
         assert shared.ranks
 
 
+def test_report_flags_only_its_own_overflows():
+    # ell(3107672507741) is about 1.2 * 10^16, and 18 lcms of its walk leave
+    # 64 bits; the report for k=5 hits none of them
+    big = 3107672507741
+    shared = OrdCache.for_poly(F)
+    reports = [build_density_report(GcdQuery(F, k, cache=shared), 500, method="sieve")
+               for k in (big, 5, big)]
+    fresh = [build_density_report(GcdQuery(F, k), 500, method="sieve") for k in (big, 5)]
+    assert fresh[0].flags and not fresh[1].flags
+    assert [r.flags for r in reports] == [fresh[0].flags, fresh[1].flags, fresh[0].flags]
+    assert len(shared.overflow_events) == 18  # the cache still logs them once
+
+
 def test_query_cache_follows_replace_and_stays_out_of_eq():
     q = GcdQuery(F, 5)
     sub = replace(q, k=10)

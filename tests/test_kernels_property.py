@@ -1,18 +1,24 @@
-"""Property tests: the rank kernels, the factorizer and the pruned
-squarefree walk against plain iteration, plain trial division and plain
-loops, on random inputs."""
+"""Property tests: the rank kernels, the orbit-residue kernels, the
+factorizer and the pruned squarefree walk against plain iteration, plain
+trial division and plain loops, on random inputs."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyngcd
 from dyngcd.arith_core import factorize
 from dyngcd.density_lab import (
     GcdQuery,
+    _gcd_vector,
     count_oracle,
     floor_identity_B,
     series_density_A,
@@ -22,6 +28,8 @@ from dyngcd.orbit_engine import (
     INF,
     IntPolynomial,
     OrdCache,
+    _horner_vec,
+    a_mod,
     classify_orbit,
     ell,
     first_zero_scan,
@@ -115,6 +123,65 @@ def test_ord_table_matches_plain_iteration(F, limit):
     assert t[1] == 1
     for n in range(2, limit + 1):
         assert t[n] == (plain_first_zero(F, n, n) or 0)
+
+
+# ---------------------------------------------------------------------------
+# orbit residues: a_mod and the oracle's gcd vector
+# ---------------------------------------------------------------------------
+
+
+def plain_a_mod(F: IntPolynomial, n: int, m: int) -> int:
+    """a_n mod m by n exact evaluations of F, reduced once per step."""
+    v = 0
+    for _ in range(n):
+        v = F.eval_int(v) % m
+    return v
+
+
+def triangular_gcd_vector(F: IntPolynomial, x: int, linear) -> np.ndarray:
+    """gcd(G(n), a_n) for n <= x by one triangular pass: every index keeps its
+    own modulus, and position n is final after step n, when the slice that
+    still steps shrinks past it (about x^2/2 Horner steps)."""
+    idx = np.arange(0, x + 1, dtype=np.int64)
+    if linear is None:
+        mods = idx.copy()
+        mods[0] = 1
+    else:
+        mods = linear[0] * idx + linear[1]
+    v = np.zeros(x + 1, dtype=np.int64)
+    for i in range(1, x + 1):
+        v[i:] = _horner_vec(F.coeffs, v[i:], mods[i:])
+    g = np.gcd(mods, v)
+    g[0] = 0
+    return g
+
+
+@PROPS
+@given(
+    F=polys(ANY_COEFF),
+    n=st.integers(0, 5000),
+    m=st.one_of(st.integers(1, 3000), st.integers(1, 2**62)),
+)
+def test_a_mod_matches_plain_loop(F, n, m):
+    assert a_mod(F, n, m) == plain_a_mod(F, n, m)
+
+
+# linear forms up to 9*600 + 50; the guard admits |c| up to its edge there
+ORACLE_M_MAX = 9 * 600 + 50
+GUARD_EDGE = 2**63 - 1 - (ORACLE_M_MAX - 1) ** 2
+ORACLE_COEFF = st.one_of(
+    SMALL, st.integers(-GUARD_EDGE, GUARD_EDGE), st.sampled_from([-GUARD_EDGE, GUARD_EDGE])
+)
+
+
+@PROPS
+@given(
+    F=polys(ORACLE_COEFF).filter(lambda F: classify_orbit(F).wandering),
+    x=st.integers(1, 600),
+    linear=st.one_of(st.none(), st.tuples(st.integers(1, 9), st.integers(1, 50))),
+)
+def test_gcd_vector_matches_triangular_pass(F, x, linear):
+    assert np.array_equal(_gcd_vector(F, x, linear), triangular_gcd_vector(F, x, linear))
 
 
 def test_int64_kernels_refuse_wrapping_coefficients():
@@ -234,3 +301,23 @@ def test_rank_of_a_prime_near_1e9_within_seconds():
         seen.add(v)
         v = (v * v + 1) % n
         assert v != 0
+
+
+def test_a_mod_at_index_1e12_within_budget():
+    # 10^12 steps are out of reach; mod 10^9+7 the orbit enters a cycle of
+    # length 27573 after 4873 steps
+    code = ("from dyngcd.orbit_engine import a_mod, parse_polynomial\n"
+            "print(a_mod(parse_polynomial('x^2+1'), 10**12, 10**9 + 7))")
+    env = {**os.environ, "PYTHONPATH": str(Path(dyngcd.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=5)
+    assert res.returncode == 0, res.stderr
+    # independent certificate: remember the index of every orbit value until
+    # one repeats; from then on the orbit runs round a cycle of known length
+    n, p, first, orbit, v = 10**12, 10**9 + 7, {}, [], 0
+    while v not in first:
+        first[v] = len(orbit)
+        orbit.append(v)
+        v = (v * v + 1) % p
+    mu, lam = first[v], len(orbit) - first[v]
+    assert int(res.stdout) == orbit[mu + (n - mu) % lam]
