@@ -157,6 +157,8 @@ def cmd_density(ns) -> int:
 
 def cmd_series(ns) -> int:
     F = parse_polynomial(ns.poly)
+    if ns.T < 1:
+        raise ValueError("T must be >= 1")
     q = GcdQuery(F, ns.k, cache=_load_cache(ns, F))
     ts = sorted(set(t for t in (ns.T // 4, ns.T // 2, ns.T) if t >= 1))
     print("T,series_B,last_block_B,series_A,last_block_A")
@@ -172,6 +174,8 @@ def cmd_series(ns) -> int:
 
 def cmd_verify(ns) -> int:
     polys = [parse_polynomial(p) for p in ns.poly] if ns.poly else list(DEFAULT_POLYS)
+    for F in polys:  # refuse a preperiodic orbit before any suite prints
+        require_wandering(F)
     failed = 0
     for F in polys:
         for res in run_suites(F, ns.bound):

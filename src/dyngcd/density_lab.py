@@ -128,11 +128,11 @@ def _gcd_vector(F: IntPolynomial, x: int, linear: tuple[int, int] | None) -> np.
     """g[n] = gcd(G(n), a_n) for 1 <= n <= x (g[0] = 0, unused).
 
     Index n needs a_n mod G(n), so every index is a lane with its own
-    modulus, and all lanes walk their residue orbits in lockstep.  Brent's
-    cycle detection stops lane n after about tail + period of the orbit mod
-    G(n) steps (about sqrt(G(n)) for a typical map) rather than n, using only
-    the periodicity of the residues: no ranks, no factorization.  Work is
-    done once, however many k values are later queried against the vector.
+    modulus, and all lanes walk their residue orbits in lockstep.  Lane n
+    costs about tail + period of the orbit mod G(n) steps (about sqrt(G(n))
+    for a typical map) rather than n, using only the periodicity of the
+    residues: no ranks, no factorization.  Work is done once, however many k
+    values are later queried against the vector.
     """
     require_wandering(F)
     # the largest modulus, as a Python int: refuse before int64 can wrap it
@@ -788,6 +788,10 @@ def build_density_report(
     q._identity_only("build_density_report")
     if method not in ("oracle", "sieve", "both"):
         raise ValueError(f"unknown method {method!r}")
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    if T < 1:
+        raise ValueError("T must be >= 1")
     # work through a cache that shares q's ranks but logs its own overflows,
     # so the flags name only what this report hit, not what earlier queries
     # on the same cache did (note_overflow drops repeats)

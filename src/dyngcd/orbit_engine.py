@@ -203,7 +203,17 @@ def require_wandering(F: IntPolynomial) -> None:
 
 
 # ---------------------------------------------------------------------------
-# orbit values
+# orbit walks.  Every residue kernel reads its answer off one walk of the
+# orbit of 0 mod m that stops at its first return: the first step r with
+# a_r = 0 or a_r = a_pos, where Brent's tortoise (Brent, BIT 20 (1980)
+# 176-184) waits at a_pos, pos the last power of two passed (0 at first).
+# - A zero is a return to a_0: the orbit is a pure cycle of period r = ord(m).
+# - A meeting proves a_pos on the cycle with exact period r - pos < r.  On a
+#   pure cycle 0 comes back at the period, before any meeting, so m has no rank.
+# So period == r exactly when 0 is on the cycle, and a_n = a_(r + (n - r) mod
+# period) for n >= r.  The return comes in fewer than 3 (tail + period) steps,
+# about sqrt(m) for a typical map.  A walk reports (r, period, a_r), or
+# (limit, 0, a_limit) when it reaches its step limit first.
 # ---------------------------------------------------------------------------
 
 
@@ -224,68 +234,50 @@ def a_value(F: IntPolynomial, n: int) -> int:
     return v
 
 
-def a_mod(F: IntPolynomial, n: int, m: int) -> int:
-    """a_n mod m, walking the residue orbit with Brent's cycle detection.
+def _first_return(F: IntPolynomial, m: int, limit: int) -> tuple[int, int, int]:
+    """The walk mod m in Python ints, for any modulus up to 2^62."""
+    v = tortoise = 0
+    pos, s = 0, 1
+    for r in range(1, limit + 1):
+        v = F.eval_mod(v, m)
+        if v == 0:
+            return r, r, v
+        if v == tortoise:
+            return r, r - pos, v
+        if r == s:
+            tortoise, pos, s = v, s, 2 * s
+    return limit, 0, v
 
-    A tortoise waits at a_s, s the last power of two passed (0 at first).
-    The first step r with a_r = a_s proves a_s on the cycle and gives its
-    exact period lam = r - s; then a_n = a_(r + (n - r) mod lam), so the walk
-    ends after fewer than 3 (tail + period) + period steps, about sqrt(m) for
-    a typical map, and never more than n.
-    """
+
+def a_mod(F: IntPolynomial, n: int, m: int) -> int:
+    """a_n mod m in fewer than n steps: the first return, then (n - r) mod
+    period more."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     _check_modulus(m)
-    if m == 1:
-        return 0
-    v = tortoise = 0
-    pos, s = 0, 1
-    for r in range(1, n + 1):
-        v = F.eval_mod(v, m)
-        if v == tortoise:
-            for _ in range((n - r) % (r - pos)):
-                v = F.eval_mod(v, m)
-            return v
-        if r == s:
-            tortoise, pos, s = v, s, 2 * s
+    r, period, v = _first_return(F, m, n)
+    if period:
+        for _ in range((n - r) % period):
+            v = F.eval_mod(v, m)
     return v
 
 
 def ord_direct_capped(F: IntPolynomial, n: int, cap: int) -> int | float | None:
     """First r <= cap with a_r = 0 mod n; INF when cap >= n and there is no
-    such r at all; None when cap < n and no r <= cap qualifies.
-
-    The search uses Brent's cycle detection: a tortoise waits at a_s, s the
-    last power of two passed.  0 = a_0 recurs exactly when the orbit mod n is
-    purely periodic, and then its return at r = period comes before any other
-    repeat, so meeting the tortoise before a zero proves the rank infinite.
-    That costs fewer than 3 (tail + period) steps, about sqrt(n) for a
-    typical map, and never more than cap.
-    """
+    such r at all; None when cap < n and no r <= cap qualifies."""
     _check_modulus(n)
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if n == 1:
-        return 1
-    v = tortoise = 0
-    s = 1
-    for r in range(1, cap + 1):
-        v = F.eval_mod(v, n)
-        if v == 0:
-            return r
-        if v == tortoise:
-            break
-        if r == s:
-            tortoise, s = v, 2 * s
-    # a repeat without a zero, or n + 1 orbit values without one, proves the
-    # rank infinite; the contract reports that only for cap >= n
+    r, period, _ = _first_return(F, n, cap)
+    if period == r:
+        return r
+    # a return off 0, or n orbit steps without a zero, proves the rank
+    # infinite; the contract reports that only for cap >= n
     return INF if cap >= n else None
 
 
 def ord_direct(F: IntPolynomial, n: int) -> int | float:
-    """Rank of apparition of n by direct search: least r >= 1 with n | a_r,
-    else INF.  The cycle detection of ord_direct_capped settles it after
-    about tail + period steps of the residue orbit."""
+    """Rank of apparition of n: least r >= 1 with n | a_r, else INF."""
     return ord_direct_capped(F, n, n)  # cap = n always resolves
 
 
@@ -308,24 +300,59 @@ def check_int64_horner(coeffs: tuple[int, ...], m_max: int) -> None:
 
 
 def _horner_vec(coeffs: tuple[int, ...], v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """F(v) mod m lane by lane; the caller has passed check_int64_horner."""
-    acc = np.full(v.shape, coeffs[-1], dtype=np.int64)
+    """F(v) mod m lane by lane; the caller has passed check_int64_horner.
+    A monic F starts at v + c_(d-1), one multiply and one reduction less."""
+    if coeffs[-1] == 1:
+        acc, rest = v + coeffs[-2], coeffs[-3::-1]
+    else:
+        acc, rest = np.full(v.shape, coeffs[-1], dtype=np.int64), coeffs[-2::-1]
     acc %= m
-    for c in reversed(coeffs[:-1]):
+    for c in rest:
         acc *= v
         acc += c
         acc %= m
     return acc
 
 
+def _first_return_vec(
+    coeffs: tuple[int, ...], mods: np.ndarray, limits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk for every lane of int64 arrays that passed check_int64_horner,
+    with limits >= 1, as arrays (r, period, a_r mod m).  The lanes step in
+    lockstep, so they share one tortoise schedule; a lane retires at its
+    return or its limit, and limits are only tested from the step of the
+    smallest live one."""
+    steps, period, ends = np.zeros((3, mods.size), dtype=np.int64)
+    idx = np.arange(mods.size)
+    v = tortoise = np.zeros(mods.size, dtype=np.int64)
+    r, pos, s = 0, 0, 1
+    nxt = int(limits.min()) if limits.size else 0
+    while mods.size:
+        r += 1
+        v = _horner_vec(coeffs, v, mods)
+        back = (v == 0) | (v == tortoise)
+        done = back | (limits <= r) if r >= nxt else back
+        if done.any():
+            i = idx[done]
+            steps[i], ends[i], period[i] = r, v[done], back[done] * (r - pos)
+            keep = ~done
+            mods, limits, idx, v = mods[keep], limits[keep], idx[keep], v[keep]
+            tortoise = tortoise[keep]
+            nxt = int(limits.min()) if limits.size else 0
+        if r == s:
+            tortoise, pos, s = v, s, 2 * s
+    # a lane that ended on 0 returned to a_0, so its period is r, not r - pos
+    zero = ends == 0
+    period[zero] = steps[zero]
+    return steps, period, ends
+
+
 def first_zero_scan(
     F: IntPolynomial, mods: np.ndarray, caps: np.ndarray
 ) -> np.ndarray:
     """For each modulus mods[i], the least r <= caps[i] with a_r = 0 mod
-    mods[i], or 0 when there is none.  Semantically one ord_direct_capped per
-    entry, run in lockstep across all moduli still alive: a lane retires at
-    its zero, at its cap, or when it meets its tortoise (one shared power of
-    two, since every lane is at the same step), which proves it has none."""
+    mods[i], or 0 when there is none: one ord_direct_capped per lane, run in
+    lockstep."""
     mods = np.asarray(mods, dtype=np.int64)
     caps = np.asarray(caps, dtype=np.int64)
     if mods.size and int(mods.max()) >= _VEC_MODULUS_MAX:
@@ -334,61 +361,26 @@ def first_zero_scan(
         raise ValueError("vector kernel needs moduli >= 2")
     if mods.size:
         check_int64_horner(F.coeffs, int(mods.max()))
-    found = np.zeros(mods.shape, dtype=np.int64)
-    idx = np.arange(mods.size)
-    v = np.zeros(mods.size, dtype=np.int64)
-    tortoise = v
-    r, s = 0, 1
-    while mods.size:
-        r += 1
-        v = _horner_vec(F.coeffs, v, mods)
-        zero = v == 0
-        if zero.any():
-            found[idx[zero]] = r
-        retire = zero | (v == tortoise) | (caps <= r)
-        if r == s:
-            tortoise, s = v, 2 * s
-        if retire.any():
-            keep = ~retire
-            mods, caps, idx, v = mods[keep], caps[keep], idx[keep], v[keep]
-            tortoise = tortoise[keep]
-    return found
+    steps, period, _ = _first_return_vec(F.coeffs, mods, caps)
+    return np.where(period == steps, steps, 0)
 
 
 def _a_mod_vec(
     coeffs: tuple[int, ...], mods: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """a_targets[i] mod mods[i] for every lane, from int64 arrays with
-    targets >= 1 that passed check_int64_horner.  Semantically one a_mod per
-    lane, run in lockstep: all lanes share the tortoise schedule of a_mod
-    (positions 0, 1, 2, 4, ...), so a lane's first meeting with its tortoise
-    at step r gives its period r - pos, and its target moves down to the
-    first index past r congruent to it.  A lane retires at its target; each
-    costs fewer than 3 (tail + period) + period steps instead of targets[i]."""
-    targets = np.array(targets, dtype=np.int64)  # updated in place below
-    out = np.zeros(mods.shape, dtype=np.int64)
-    idx = np.arange(mods.size)
-    v = np.zeros(mods.size, dtype=np.int64)
-    tortoise = v
-    r, pos, s = 0, 0, 1
-    # the next step at which some lane retires; most steps retire none
-    nxt = int(targets.min()) if targets.size else 0
-    while mods.size:
-        r += 1
-        v = _horner_vec(coeffs, v, mods)
-        meet = v == tortoise
-        if meet.any():
-            targets[meet] = r + (targets[meet] - r) % (r - pos)
-            nxt = int(targets.min())
-        if r == s:
-            tortoise, pos, s = v, s, 2 * s
-        if r == nxt:
-            retire = targets == r
-            out[idx[retire]] = v[retire]
-            keep = ~retire
-            mods, targets, idx, v = mods[keep], targets[keep], idx[keep], v[keep]
-            tortoise = tortoise[keep]
-            nxt = int(targets.min()) if targets.size else 0
+    targets >= 1 that passed check_int64_horner: one a_mod per lane.  After
+    the lockstep walk the lanes are sorted by the steps they have left, so
+    the ones still stepping are always a suffix."""
+    steps, period, v = _first_return_vec(coeffs, mods, targets)
+    left = (targets - steps) % np.maximum(period, 1)
+    order = np.argsort(left)
+    v, mods, left = v[order], mods[order], left[order]
+    # step j advances the lanes with more than j steps left
+    for k in np.searchsorted(left, np.arange(left.max(initial=0)), side="right").tolist():
+        v[k:] = _horner_vec(coeffs, v[k:], mods[k:])
+    out = np.empty_like(v)
+    out[order] = v
     return out
 
 
@@ -399,11 +391,9 @@ def ord_table(F: IntPolynomial, limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     t = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        t[1] = 1
-    if limit >= 2:
-        mods = np.arange(2, limit + 1, dtype=np.int64)
-        t[2:] = first_zero_scan(F, mods, mods)
+    t[1] = 1
+    mods = np.arange(2, limit + 1, dtype=np.int64)
+    t[2:] = first_zero_scan(F, mods, mods)
     t.setflags(write=False)
     return t
 

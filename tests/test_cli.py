@@ -189,6 +189,31 @@ def test_preperiodic_exit_code(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("poly_args", [["x^2-2"], ["x^2+1", "--poly", "x^2-2"]])
+def test_verify_refuses_preperiodic_poly_before_any_suite(capsys, poly_args):
+    rc, out, err = run(capsys, "verify", "--bound", "30", "--poly", *poly_args)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "preperiodic" in err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("density --poly x^2+1 --k 5 --x 0", "x must be >= 1"),
+        ("density --poly x^2+1 --k 5 --x -4 --method oracle", "x must be >= 1"),
+        ("density --poly x^2+1 --k 5 --x -4 --method sieve", "x must be >= 1"),
+        ("density --poly x^2+1 --k 5 --x -4 --method both", "x must be >= 1"),
+        ("density --poly x^2+1 --k 5 --x 100 --T 0", "T must be >= 1"),
+        ("density --poly x^2+1 --k 5 --x 100 --T -5", "T must be >= 1"),
+        ("series --poly x^2+1 --k 1 --T 0", "T must be >= 1"),
+    ],
+)
+def test_nonpositive_x_or_T_exit_code(capsys, command, message):
+    rc, out, err = run(capsys, *command.split())
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_coefficient_too_large_for_int64_kernel_exit_code(capsys):
     rc, out, err = run(capsys, "scan", "--poly", "x^2+100000000000000000000", "--pmax", "50")
     assert rc == 2 and out == "" and "int64" in err

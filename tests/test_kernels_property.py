@@ -28,6 +28,8 @@ from dyngcd.orbit_engine import (
     INF,
     IntPolynomial,
     OrdCache,
+    _first_return,
+    _first_return_vec,
     _horner_vec,
     a_mod,
     classify_orbit,
@@ -83,6 +85,70 @@ def trial_division(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the two orbit walks: first return, exact period and residue
+# ---------------------------------------------------------------------------
+
+
+def plain_orbit(F: IntPolynomial, m: int) -> tuple[int, int, list[int]]:
+    """(tail, period, a_0 .. a_(tail+period-1)) of the orbit of 0 mod m, by a
+    walk that records the first index of each residue until one repeats."""
+    first: dict[int, int] = {}
+    orbit = []
+    v = 0
+    while v not in first:
+        first[v] = len(orbit)
+        orbit.append(v)
+        v = F.eval_int(v) % m
+    return first[v], len(orbit) - first[v], orbit
+
+
+def check_first_return(F, m, free, limited, limit):
+    """free is a walk's (r, period, a_r) with room to return; limited is the
+    same walk stopped at limit."""
+    tail, period, orbit = plain_orbit(F, m)
+
+    def a(n):
+        return orbit[n] if n < len(orbit) else orbit[tail + (n - tail) % period]
+
+    r, got_period, v = free
+    assert got_period == period and v == a(r) and r >= tail + period
+    # period == r exactly when 0 = a_0 is on the cycle, and r is then its
+    # first return
+    assert (got_period == r) == (tail == 0)
+    if tail == 0:
+        assert r == next(n for n in range(1, period + 1) if a(n) == 0)
+    assert limited == ((limit, 0, a(limit)) if limit < r else free)
+
+
+def limits_around(r: int):
+    """Limits below, at and above a first return at step r."""
+    return st.one_of(st.integers(1, max(1, r - 1)), st.just(r), st.integers(r, 2 * r))
+
+
+@PROPS
+@given(F=polys(ANY_COEFF), m=st.integers(1, 3000), data=st.data())
+def test_first_return_matches_plain_walk(F, m, data):
+    # Brent's walk returns within 3 (tail + period) <= 3m steps
+    free = _first_return(F, m, 3 * m)
+    limit = data.draw(limits_around(free[0]))
+    check_first_return(F, m, free, _first_return(F, m, limit), limit)
+
+
+@PROPS
+@given(F=polys(VEC_COEFF), mods=st.lists(st.integers(1, 3000), min_size=1, max_size=20),
+       data=st.data())
+def test_first_return_vec_matches_plain_walk(F, mods, data):
+    m = np.array(mods, dtype=np.int64)
+    free = np.stack(_first_return_vec(F.coeffs, m, 3 * m), axis=1).tolist()
+    limits = [data.draw(limits_around(r)) for r, _, _ in free]
+    limited = np.stack(
+        _first_return_vec(F.coeffs, m, np.array(limits, dtype=np.int64)), axis=1
+    ).tolist()
+    for mi, f, got, limit in zip(mods, free, limited, limits):
+        check_first_return(F, mi, tuple(f), tuple(got), limit)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """CLI stdout is byte-identical to the digests the benchmark checks against.
 
 perfbench/digests.json maps each benchmark command to the sha256 of its
-stdout.  A few commands that run the oracle, the sieve, the floor identity
-and every verify suite are replayed here in-process; the file is only read.
+stdout.  A few commands that run the oracle, the sieve, the floor identity,
+every verify suite and the prime scans are replayed here in-process; the file
+is only read.
 """
 
 import hashlib
@@ -30,3 +31,21 @@ def test_stdout_matches_recorded_digest(command, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# exact and bounded prime scans at the benchmark's sizes, through the
+# lockstep kernel; their --cache files land in a temporary directory
+SCAN_COMMANDS = [
+    "scan --poly x^2+1 --cache scan0.csv --pmin 38500 --pmax 40000",
+    "scan --poly x^3+x^2+1 --cache scan2.csv --pmin 38500 --pmax 40000",
+    "series --poly x^2+1 --cache scan0.csv --k 1 --T 15400",
+    "density --poly x^2+1 --k 5 --x 1000000 --method sieve --format json",
+]
+
+
+@pytest.mark.parametrize("command", SCAN_COMMANDS)
+def test_scan_stdout_matches_recorded_digest(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DYNGCD_CACHE_DIR", str(tmp_path))
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
