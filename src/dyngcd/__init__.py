@@ -1,121 +1,60 @@
 """Divisibility structure of polynomial orbit sequences: ranks of apparition,
-prime scans, and exact densities of the gcd sets."""
+prime scans, and exact densities of the gcd sets.
+
+The public names below are loaded from their submodule on first use
+(PEP 562), so `import dyngcd` stays cheap: numpy and the density, prime and
+verify layers load only when a name from them is asked for.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .arith_core import factorize, sieve_primes
-from .orbit_engine import (
-    INF,
-    CacheMismatchError,
-    IntPolynomial,
-    OrbitClass,
-    OrdCache,
-    ParseError,
-    PreperiodicOrbitError,
-    a_mod,
-    a_value,
-    classify_orbit,
-    ell,
-    growth_constant_estimate,
-    nu_p_of_a,
-    ord_crt,
-    ord_direct,
-    ord_table,
-    parse_polynomial,
-    require_wandering,
-)
-from .prime_lab import (
-    AnomalousReport,
-    PrimeRecord,
-    anomalous_report,
-    is_injective_mod_p,
-    low_rank_primes,
-    mertens_pretty_product,
-    pretty_prime_density,
-    scan_csv,
-    scan_primes,
-    tail_partial_sum,
-)
-from .density_lab import (
-    DensityReport,
-    GcdQuery,
-    LkSet,
-    MembershipVerdict,
-    NonemptyVerdict,
-    SelfCheckError,
-    SeriesTruncation,
-    a_nonempty,
-    b_nonempty,
-    build_Lk,
-    build_density_report,
-    count_A_inclusion_exclusion,
-    count_oracle,
-    count_sieve,
-    floor_identity_B,
-    linear_coprime_report,
-    membership,
-    non_multiples_count,
-    series_density_A,
-    series_density_B,
-    small_prime_hit_density,
-    y_k_lower_bound,
-)
-from .verify import SuiteResult, run_all, run_suites
+# public name -> submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("factorize", "sieve_primes"), "arith_core"),
+    **dict.fromkeys(
+        (
+            "INF", "CacheMismatchError", "IntPolynomial", "OrbitClass", "OrdCache",
+            "ParseError", "PreperiodicOrbitError", "a_mod", "a_value",
+            "classify_orbit", "ell", "growth_constant_estimate", "nu_p_of_a",
+            "ord_crt", "ord_direct", "ord_table", "parse_polynomial",
+            "require_wandering",
+        ),
+        "orbit_engine",
+    ),
+    **dict.fromkeys(
+        (
+            "AnomalousReport", "PrimeRecord", "anomalous_report",
+            "is_injective_mod_p", "low_rank_primes", "mertens_pretty_product",
+            "pretty_prime_density", "scan_csv", "scan_primes", "tail_partial_sum",
+        ),
+        "prime_lab",
+    ),
+    **dict.fromkeys(
+        (
+            "DensityReport", "GcdQuery", "LkSet", "MembershipVerdict",
+            "NonemptyVerdict", "SelfCheckError", "SeriesTruncation", "a_nonempty",
+            "b_nonempty", "build_Lk", "build_density_report",
+            "count_A_inclusion_exclusion", "count_oracle", "count_sieve",
+            "floor_identity_B", "linear_coprime_report", "membership",
+            "non_multiples_count", "series_density_A", "series_density_B",
+            "small_prime_hit_density", "y_k_lower_bound",
+        ),
+        "density_lab",
+    ),
+    **dict.fromkeys(("SuiteResult", "run_all", "run_suites"), "verify"),
+}
 
-__all__ = [
-    "INF",
-    "AnomalousReport",
-    "CacheMismatchError",
-    "DensityReport",
-    "GcdQuery",
-    "IntPolynomial",
-    "LkSet",
-    "MembershipVerdict",
-    "NonemptyVerdict",
-    "OrbitClass",
-    "OrdCache",
-    "ParseError",
-    "PreperiodicOrbitError",
-    "PrimeRecord",
-    "SelfCheckError",
-    "SeriesTruncation",
-    "SuiteResult",
-    "a_mod",
-    "a_nonempty",
-    "a_value",
-    "anomalous_report",
-    "b_nonempty",
-    "build_Lk",
-    "build_density_report",
-    "classify_orbit",
-    "count_A_inclusion_exclusion",
-    "count_oracle",
-    "count_sieve",
-    "ell",
-    "factorize",
-    "floor_identity_B",
-    "growth_constant_estimate",
-    "is_injective_mod_p",
-    "linear_coprime_report",
-    "low_rank_primes",
-    "membership",
-    "mertens_pretty_product",
-    "non_multiples_count",
-    "nu_p_of_a",
-    "ord_crt",
-    "ord_direct",
-    "ord_table",
-    "parse_polynomial",
-    "pretty_prime_density",
-    "require_wandering",
-    "run_all",
-    "run_suites",
-    "scan_csv",
-    "scan_primes",
-    "series_density_A",
-    "series_density_B",
-    "sieve_primes",
-    "small_prime_hit_density",
-    "tail_partial_sum",
-    "y_k_lower_bound",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -13,8 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 # lcm_checked signals above this (unsigned 64-bit range).
 U64_MAX = 2**64 - 1
 # Moduli accepted by the orbit routines.  Kept below 2**62 so a product of two
@@ -25,6 +23,8 @@ MODULUS_MAX = 2**62
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending.  Empty list for limit < 2."""
+    import numpy as np  # on first call, so that importing arith_core stays cheap
+
     if limit < 2:
         return []
     mask = np.ones(limit + 1, dtype=bool)

@@ -27,24 +27,9 @@ from .orbit_engine import (
     parse_polynomial,
     require_wandering,
 )
-from .prime_lab import (
-    anomalous_report,
-    low_rank_growth,
-    mertens_pretty_product,
-    pretty_prime_density,
-    scan_csv,
-    scan_primes,
-    tail_partial_sum,
-)
-from .density_lab import (
-    GcdQuery,
-    SelfCheckError,
-    build_density_report,
-    linear_coprime_report,
-    series_density_A,
-    series_density_B,
-)
-from .verify import DEFAULT_POLYS, run_suites
+
+# prime_lab, density_lab and verify (and with them numpy) are imported by the
+# commands that use them, so that `ord`, `classify` and `--version` start fast.
 
 _DENSITY_ORACLE_MAX = 2 * 10**4
 
@@ -110,6 +95,8 @@ def cmd_ord(ns) -> int:
 
 
 def cmd_scan(ns) -> int:
+    from .prime_lab import scan_csv, scan_primes
+
     F = parse_polynomial(ns.poly)
     if ns.pmax < 2:
         raise ValueError("--pmax must be >= 2")
@@ -123,6 +110,8 @@ def cmd_scan(ns) -> int:
 
 
 def cmd_density(ns) -> int:
+    from .density_lab import GcdQuery, build_density_report
+
     F = parse_polynomial(ns.poly)
     q = GcdQuery(F, ns.k, cache=_load_cache(ns, F))
     method = ns.method
@@ -156,6 +145,8 @@ def cmd_density(ns) -> int:
 
 
 def cmd_series(ns) -> int:
+    from .density_lab import GcdQuery, series_density_A, series_density_B
+
     F = parse_polynomial(ns.poly)
     if ns.T < 1:
         raise ValueError("T must be >= 1")
@@ -173,6 +164,8 @@ def cmd_series(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from .verify import DEFAULT_POLYS, run_suites
+
     polys = [parse_polynomial(p) for p in ns.poly] if ns.poly else list(DEFAULT_POLYS)
     for F in polys:  # refuse a preperiodic orbit before any suite prints
         require_wandering(F)
@@ -189,10 +182,11 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_coprime(ns) -> int:
+    from .density_lab import GcdQuery, linear_coprime_report
+
     F = parse_polynomial(ns.poly)
     q = GcdQuery(F, 1, linear=(ns.a, ns.b), cache=_load_cache(ns, F))
-    zs = [z for z in (ns.z or [10, 100, 1000]) if 2 <= z]
-    report = linear_coprime_report(q, ns.x, zs)
+    report = linear_coprime_report(q, ns.x, ns.z or [10, 100, 1000])
     _save_cache(ns, q.cache)
     if ns.format == "json":
         print(report.to_json())
@@ -210,18 +204,29 @@ def cmd_coprime(ns) -> int:
 
 
 def cmd_diag(ns) -> int:
+    from .prime_lab import (
+        anomalous_report,
+        low_rank_growth,
+        mertens_pretty_product,
+        pretty_prime_density,
+        tail_partial_sum,
+    )
+
     F = parse_polynomial(ns.poly)
     require_wandering(F)
     x = ns.x
-    print(f"# low-rank primes (beta={ns.beta})")
+    # tail_partial_sum refuses z outside [2, x) and eps, veps outside
+    # 0 <= eps < veps, and low_rank_growth a beta <= 0: both run before
+    # anything prints, so that a refused argument leaves stdout empty.
+    val, comp = tail_partial_sum(F, ns.z, x, ns.eps, ns.veps)
     rows, flagged = low_rank_growth(F, ns.beta, sorted({max(x // 100, 100), max(x // 10, 100), x}))
+    print(f"# low-rank primes (beta={ns.beta})")
     for rx, cnt, bnd, within in rows:
         mark = "" if within else "  *above*"
         print(f"x={rx}  count={cnt}  power_bound={bnd:.1f}{mark}")
     if flagged:
         print("note: growth above the calibrated power curve")
     print(f"# rank-weighted tail (z={ns.z}, eps={ns.eps}, veps={ns.veps})")
-    val, comp = tail_partial_sum(F, ns.z, x, ns.eps, ns.veps)
     print(f"partial_sum={val:.6e}  comparator={comp:.6e}")
     print("# pretty primes")
     dens = pretty_prime_density(F, x)
@@ -316,7 +321,7 @@ def main(argv=None) -> int:
     except CacheMismatchError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 3
-    except (SelfCheckError, AssertionError) as exc:
+    except AssertionError as exc:  # density_lab.SelfCheckError included
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -695,6 +695,9 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
         raise ValueError("coprime report needs a linear form with k = 1")
     if x < 1:
         raise ValueError("x must be >= 1")
+    zs = sorted(set(int(z) for z in z_schedule))
+    if zs and zs[0] < 2:
+        raise ValueError("need z >= 2")
     a, b = q.linear
     g = _gcd_vector(q.F, x, q.linear)
     count = int((g[1:] == 1).sum())
@@ -702,7 +705,7 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
     pmax = a * x + b
     tail_pool = _pretty_prime_pool(q, scan_primes(q.F, 2, pmax))
     checkpoints = []
-    for z in sorted(set(int(z) for z in z_schedule)):
+    for z in zs:
         hd = small_prime_hit_density(q, z, x)
         if hd.exact is not None:
             hit = float(hd.exact)

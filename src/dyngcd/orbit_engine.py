@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .arith_core import MODULUS_MAX, factorize, lcm_checked
 
 INF = math.inf
@@ -283,7 +281,8 @@ def ord_direct(F: IntPolynomial, n: int) -> int | float:
 
 # ---------------------------------------------------------------------------
 # vectorized orbit kernels (numpy int64; moduli must stay below 2^31 so that
-# a product of two residues fits int64)
+# a product of two residues fits int64).  They import numpy when called, so
+# that the scalar commands never load it.
 # ---------------------------------------------------------------------------
 
 _VEC_MODULUS_MAX = 2**31
@@ -305,6 +304,8 @@ def _horner_vec(coeffs: tuple[int, ...], v: np.ndarray, m: np.ndarray) -> np.nda
     if coeffs[-1] == 1:
         acc, rest = v + coeffs[-2], coeffs[-3::-1]
     else:
+        import numpy as np
+
         acc, rest = np.full(v.shape, coeffs[-1], dtype=np.int64), coeffs[-2::-1]
     acc %= m
     for c in rest:
@@ -322,6 +323,8 @@ def _first_return_vec(
     lockstep, so they share one tortoise schedule; a lane retires at its
     return or its limit, and limits are only tested from the step of the
     smallest live one."""
+    import numpy as np
+
     steps, period, ends = np.zeros((3, mods.size), dtype=np.int64)
     idx = np.arange(mods.size)
     v = tortoise = np.zeros(mods.size, dtype=np.int64)
@@ -353,6 +356,8 @@ def first_zero_scan(
     """For each modulus mods[i], the least r <= caps[i] with a_r = 0 mod
     mods[i], or 0 when there is none: one ord_direct_capped per lane, run in
     lockstep."""
+    import numpy as np
+
     mods = np.asarray(mods, dtype=np.int64)
     caps = np.asarray(caps, dtype=np.int64)
     if mods.size and int(mods.max()) >= _VEC_MODULUS_MAX:
@@ -372,6 +377,8 @@ def _a_mod_vec(
     targets >= 1 that passed check_int64_horner: one a_mod per lane.  After
     the lockstep walk the lanes are sorted by the steps they have left, so
     the ones still stepping are always a suffix."""
+    import numpy as np
+
     steps, period, v = _first_return_vec(coeffs, mods, targets)
     left = (targets - steps) % np.maximum(period, 1)
     order = np.argsort(left)
@@ -388,6 +395,8 @@ def _a_mod_vec(
 def ord_table(F: IntPolynomial, limit: int) -> np.ndarray:
     """Ranks of apparition for every modulus up to limit, as an int64 array t
     with t[n] = ord(n) and 0 meaning infinite.  t[1] = 1.  Read-only."""
+    import numpy as np
+
     if limit < 1:
         raise ValueError("limit must be >= 1")
     t = np.zeros(limit + 1, dtype=np.int64)

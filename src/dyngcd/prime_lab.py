@@ -164,8 +164,8 @@ def low_rank_primes(F: IntPolynomial, beta: float, x: int) -> list[int]:
     """Primes p <= x whose rank is at most beta * log_d(p), d the degree.
     These are the primes small enough to see their own orbit zero early; the
     set is conjecturally sparse, growing like a power x^beta at most."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if x < 2:
         return []
     require_wandering(F)

@@ -206,6 +206,16 @@ def test_verify_refuses_preperiodic_poly_before_any_suite(capsys, poly_args):
         ("density --poly x^2+1 --k 5 --x 100 --T 0", "T must be >= 1"),
         ("density --poly x^2+1 --k 5 --x 100 --T -5", "T must be >= 1"),
         ("series --poly x^2+1 --k 1 --T 0", "T must be >= 1"),
+        # diag and coprime refuse these before printing anything
+        ("diag --poly x^2+1 --x 0", "need 2 <= z < x"),
+        ("diag --poly x^2+1 --x -5", "need 2 <= z < x"),
+        ("diag --poly x^2+1 --x 200 --z 1", "need 2 <= z < x"),
+        ("diag --poly x^2+1 --x 200 --veps -1", "need 0 <= eps < veps"),
+        ("diag --poly x^2+1 --x 200 --eps -0.5", "need 0 <= eps < veps"),
+        ("diag --poly x^2+1 --x 200 --beta 0", "beta must be positive and finite"),
+        ("diag --poly x^2+1 --x 200 --beta inf", "beta must be positive and finite"),
+        ("coprime --poly x^2+1 --a 2 --b 13 --x 100 --z 1", "need z >= 2"),
+        ("coprime --poly x^2+1 --a 2 --b 13 --x 100 --z 5 --z 0", "need z >= 2"),
     ],
 )
 def test_nonpositive_x_or_T_exit_code(capsys, command, message):

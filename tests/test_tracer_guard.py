@@ -5,9 +5,12 @@ would break `perfbench/run.py --trace 1` fails here instead."""
 
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import dyngcd  # noqa: F401  (loads every submodule the tracer names)
+import dyngcd  # loads no submodule: its public names resolve on first use
 from dyngcd import density_lab, orbit_engine, verify
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -44,3 +47,13 @@ def test_positional_hook_signatures_unchanged():
     assert _params(orbit_engine.first_zero_scan) == ["F", "mods", "caps"]
     assert _params(density_lab._gcd_vector) == ["F", "x", "linear"]
     assert _params(orbit_engine.OrdCache.rank_of) == ["self", "F", "n"]
+
+
+def test_verify_import_loads_the_layers_install_reads():
+    # tracer.install imports dyngcd.verify, then finds prime_lab and
+    # density_lab in sys.modules; a fresh process shows what that import loads
+    code = "import sys, dyngcd.verify; print(*sorted(m for m in sys.modules if m.startswith('dyngcd.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(dyngcd.__file__).parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert {"dyngcd.prime_lab", "dyngcd.density_lab"} <= set(res.stdout.split())
