@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "AnomalousReport", "PrimeRecord", "anomalous_report",
+            "AnomalousReport", "PrimeScan", "anomalous_report",
             "is_injective_mod_p", "low_rank_primes", "mertens_pretty_product",
             "pretty_prime_density", "scan_csv", "scan_primes", "tail_partial_sum",
         ),

@@ -21,18 +21,19 @@ U64_MAX = 2**64 - 1
 MODULUS_MAX = 2**62
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending.  Empty list for limit < 2."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as an int64 numpy array (empty for
+    limit < 2)."""
     import numpy as np  # on first call, so that importing arith_core stays cheap
 
     if limit < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return [int(p) for p in np.nonzero(mask)[0]]
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

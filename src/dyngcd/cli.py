@@ -100,12 +100,12 @@ def cmd_scan(ns) -> int:
     F = parse_polynomial(ns.poly)
     if ns.pmax < 2:
         raise ValueError("--pmax must be >= 2")
-    records = scan_primes(F, ns.pmin, ns.pmax)
+    scan = scan_primes(F, ns.pmin, ns.pmax)
     cache = _load_cache(ns, F)
-    for rec in records:
-        cache.put(rec.p, rec.ord)
+    for p, r in zip(scan.p.tolist(), scan.ord.tolist()):
+        cache.put(p, r if r else INF)  # an exact scan leaves no rank unresolved
     _save_cache(ns, cache)
-    sys.stdout.write(scan_csv(records))
+    sys.stdout.write(scan_csv(scan))
     return 0
 
 

@@ -202,31 +202,39 @@ def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
     q._identity_only("count_sieve")
     if x < 1:
         raise ValueError("x must be >= 1")
+    return _sieve_counts(q, x, (x,))[0]
+
+
+def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
+    """count_sieve at every cut-off cx <= x in cuts, from one bounded scan at
+    x.  Whether n is a member does not depend on the cut-off, so each count
+    is a prefix count of the sieve at x: alive[m] stands for n = m * ell(k),
+    and the count at cx reads alive[: cx // ell(k) + 1]."""
     F, k, cache = q.F, q.k, q.cache
     if ord_crt(F, k, cache) == INF:
-        return 0, 0
+        return [(0, 0)] * len(cuts)
     lk = ell(F, k, cache)
     if lk == INF or lk > x:
-        return 0, 0
+        return [(0, 0)] * len(cuts)
     lk = int(lk)
     M = x // lk
+    scan = scan_primes(F, 2, x, sieve_bound=x)
+    lp = scan.ell
+    # ell(p) is 0 for an infinite rank and -1 for one left unresolved (> x)
+    lp = lp[(lp > 0) & (lp <= x) & _coprime_rows(scan, k)]
+    strides = lp // np.gcd(lp, lk)
     alive = np.ones(M + 1, dtype=bool)
     alive[0] = False
-    for rec in scan_primes(F, 2, x, sieve_bound=x):
-        if k % rec.p == 0:
-            continue
-        lp = rec.ell
-        if lp is None or lp == INF or lp > x:
-            continue
-        s = int(lp) // math.gcd(int(lp), lk)
-        if s <= M:
-            alive[s::s] = False
-    count_b = int(alive.sum())
+    # a set, not np.unique, which would import numpy.ma
+    for s in set(strides[strides <= M].tolist()):
+        alive[s::s] = False
+    ends = [cx // lk + 1 for cx in cuts]
+    counts_b = [int(np.count_nonzero(alive[:end])) for end in ends]
 
     for p, e in factorize(k).factors:
         if cache.rank_of(F, p**e) == INF:
             # unreachable once ord(k) is finite; kept as a hard guard
-            return 0, count_b
+            return [(0, cb) for cb in counts_b]
         o1 = _rank_above(q, p, e)
         if o1 == INF:
             continue  # excess index valuation is harmless
@@ -236,8 +244,9 @@ def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
         step = s1 if lk % p ** (e + 1) == 0 else math.lcm(p, s1)
         if step <= M:
             alive[step::step] = False
-    count_a = int(alive.sum())
-    return count_a, count_b
+    return [
+        (int(np.count_nonzero(alive[:end])), cb) for end, cb in zip(ends, counts_b)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +254,25 @@ def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _coprime_rows(scan, n: int) -> np.ndarray:
+    """Mask of the rows of a scan_primes result whose prime does not divide n."""
+    keep = np.ones(len(scan), dtype=bool)
+    for p in factorize(n).prime_set():
+        keep &= scan.p != p
+    return keep
+
+
 def _pretty_prime_pool(
-    q: GcdQuery, records, coprime_to: int = 1
+    q: GcdQuery, scan, coprime_to: int = 1
 ) -> list[tuple[int, int]]:
     """(p, ord(p)) for every prime of a scan_primes result whose rank the
     scan found finite, leaving out the primes dividing coprime_to; each rank
     goes into q's cache.  Callers spell each scan the same way, since
     lru_cache keys on the spelling."""
-    pool = []
-    for rec in records:
-        if coprime_to % rec.p == 0 or rec.ord is None or rec.ord == INF:
-            continue
-        pool.append((rec.p, int(rec.ord)))
-        q.cache.put(rec.p, int(rec.ord))
+    keep = scan.pretty & _coprime_rows(scan, coprime_to)
+    pool = list(zip(scan.p[keep].tolist(), scan.ord[keep].tolist()))
+    for p, r in pool:
+        q.cache.put(p, r)
     return pool
 
 
@@ -787,7 +802,9 @@ def build_density_report(
 ) -> DensityReport:
     """Assemble counts, the floor identity, series truncations at T/4, T/2, T
     and the nonemptiness verdicts into one report.  method 'both' recomputes
-    the counts through the oracle and the sieve and insists they agree."""
+    the counts through the oracle and the sieve and insists they agree.  The
+    sieve counts at the checkpoints x/4, x/2 and x all come from one bounded
+    scan at x, which the floor identity then reuses."""
     q._identity_only("build_density_report")
     if method not in ("oracle", "sieve", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -803,7 +820,7 @@ def build_density_report(
     flags: list[str] = []
     cps = sorted(set(cx for cx in (x // 4, x // 2, x) if cx >= 1))
     if method in ("sieve", "both"):
-        counts = {cx: count_sieve(q, cx) for cx in cps}
+        counts = dict(zip(cps, _sieve_counts(q, x, cps)))
     else:
         gv = _gcd_vector(q.F, x, None)
         counts = {cx: _counts_from_gvec(gv, q.k, cx) for cx in cps}

@@ -2,17 +2,23 @@
 of primes, injectivity of the reduced map, the anomalous/pretty bookkeeping,
 and the handful of summary statistics built from those scans.
 
+A scan returns columns, not one object per prime: the primes, their ranks
+and their injectivity as read-only numpy arrays (PrimeScan), with pretty,
+anomalous and ell as array expressions over them.
+
 A scan is exact when every prime gets the full cap p (ord(p) <= p whenever it
 is finite, so no-zero-by-p settles infinite rank); the kernel's cycle
 detection retires an infinite-rank prime long before that, after about
 sqrt(p) steps.  Under a sieve bound x the cap drops to about x/p for the large
 primes; a prime that shows no zero by then has ell(p) > x, which is all the
-gcd sieve needs, but its rank is recorded as None (unknown) rather than
+gcd sieve needs, but its rank is recorded as -1 (unresolved) rather than
 guessed.  The one trap in that shortcut is an anomalous prime (ord(p) = p, so
 ell(p) = p <= x); those are exactly the primes whose reduced map is
 injective, so the scan screens injectivity first and gives injective primes
-their full cap.  For quadratics the screen is a constant-time degree argument
-at every odd prime.
+their full cap.  The screen reduces the coefficients mod every prime in one
+array operation: reduced degree 1 is injective, degree 0 is not, and degree 2
+is not at an odd prime, so only the primes left over (reduced degree 2 at
+p = 2, or 3 and more) pay for a value table.  Quadratics never build one.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .arith_core import sieve_primes
 from .orbit_engine import (
-    INF,
+    _VEC_MODULUS_MAX,
     IntPolynomial,
     _horner_vec,
     check_int64_horner,
@@ -67,91 +73,119 @@ def is_injective_mod_p(F: IntPolynomial, p: int) -> bool:
     return int(np.bincount(vals, minlength=p).max()) == 1
 
 
-@dataclass(frozen=True)
-class PrimeRecord:
-    """One prime's scan result.  ord is the rank of apparition: a positive
-    integer, INF (proven infinite), or None (unresolved under a sieve bound,
-    which still certifies ell(p) > bound)."""
+@dataclass(frozen=True, eq=False)
+class PrimeScan:
+    """A scan's result as three read-only columns, one row per prime.
 
-    p: int
-    ord: int | float | None
-    injective: bool
-    anomalous: bool
+    p holds the primes in ascending order.  ord holds each rank of
+    apparition, with 0 for a rank proven infinite and -1 for a rank left
+    unresolved under a sieve bound (which still certifies ell(p) > bound).
+    injective says whether x -> F(x) is a bijection mod p."""
+
+    p: np.ndarray
+    ord: np.ndarray
+    injective: np.ndarray
+
+    def __post_init__(self):
+        for col in (self.p, self.ord, self.injective):
+            col.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.p.size
 
     @property
-    def pretty(self) -> bool | None:
-        if self.ord is None:
-            return None
-        return self.ord != INF
+    def pretty(self) -> np.ndarray:
+        """p divides some orbit term (finite rank)."""
+        return self.ord > 0
 
     @property
-    def ell(self) -> int | float | None:
-        if self.ord is None or self.ord == INF:
-            return self.ord
-        return math.lcm(self.p, int(self.ord))
+    def anomalous(self) -> np.ndarray:
+        """ord(p) = p."""
+        return self.ord == self.p
+
+    @property
+    def ell(self) -> np.ndarray:
+        """ell(p) = lcm(p, ord(p)) for a finite rank, else ord's 0 or -1;
+        p * ord < p^2 < 2^62 for p < 2^31, so it fits int64."""
+        return np.where(self.pretty, np.lcm(self.p, self.ord), self.ord)
+
+
+_EMPTY_SCAN = PrimeScan(
+    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+)
+
+
+def _reduced_degrees(coeffs: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
+    """Degree of F mod p at every prime, -1 where F vanishes mod p; the
+    coefficients must fit int64 (check_int64_horner has passed)."""
+    deg = np.full(primes.size, -1, dtype=np.int64)
+    for i, c in enumerate(coeffs):
+        deg[np.int64(c) % primes != 0] = i
+    return deg
 
 
 @lru_cache(maxsize=32)
 def scan_primes(
     F: IntPolynomial, p_min: int, p_max: int, sieve_bound: int | None = None
-) -> tuple[PrimeRecord, ...]:
+) -> PrimeScan:
     """Scan all primes in [p_min, p_max] for their rank of apparition.
 
     sieve_bound None is the exact policy (cap p for every prime).  With a
     bound x, non-injective primes get cap min(p, x // p + 1): seeing no zero
     there proves ord(p) > x/p, hence ell(p) = p * ord(p) > x since ord < p
     forces the lcm to be the full product.  Injective primes keep cap p so
-    the anomalous case cannot hide.
+    the anomalous case cannot hide.  p_max must be below 2^31, the lockstep
+    kernel's limit; a larger one is refused before anything is sieved.
     """
     require_wandering(F)
     if sieve_bound is not None and sieve_bound < 1:
         raise ValueError("sieve_bound must be >= 1")
     p_min = max(p_min, 2)
     if p_max < p_min:
-        return ()
-    primes = [p for p in sieve_primes(p_max) if p >= p_min]
-    if not primes:
-        return ()
-    inj = [is_injective_mod_p(F, p) for p in primes]
-    caps = []
-    for p, i in zip(primes, inj):
-        if sieve_bound is None or i:
-            caps.append(p)
-        else:
-            caps.append(min(p, sieve_bound // p + 1))
-    found = first_zero_scan(
-        F, np.array(primes, dtype=np.int64), np.array(caps, dtype=np.int64)
-    )
-    records = []
-    for p, i, cap, r in zip(primes, inj, caps, found.tolist()):
-        if r > 0:
-            o: int | float | None = int(r)
-        elif cap >= p:
-            o = INF
-        else:
-            o = None
-        if i and o == INF:
-            raise AssertionError(
-                f"injective map mod {p} must have finite rank; scan says otherwise"
-            )
-        records.append(PrimeRecord(p, o, i, o == p))
-    return tuple(records)
-
-
-def scan_csv(records) -> str:
-    """CSV dump of an exact scan: p,ord,pretty,anomalous,injective,ell with 0
-    standing for an infinite ord or ell.  Unresolved records are refused."""
-    lines = ["p,ord,pretty,anomalous,injective,ell"]
-    for rec in records:
-        if rec.ord is None:
-            raise ValueError(
-                f"p={rec.p} is unresolved; export needs an exact scan (no sieve bound)"
-            )
-        o = 0 if rec.ord == INF else int(rec.ord)
-        le = 0 if rec.ell == INF else int(rec.ell)
-        lines.append(
-            f"{rec.p},{o},{int(rec.pretty)},{int(rec.anomalous)},{int(rec.injective)},{le}"
+        return _EMPTY_SCAN
+    if p_max >= _VEC_MODULUS_MAX:
+        raise ValueError("prime scans are limited to p_max below 2^31")
+    primes = sieve_primes(p_max)
+    primes = primes[primes >= p_min]  # a copy: the cached scan keeps no sieve alive
+    if not primes.size:
+        return _EMPTY_SCAN
+    check_int64_horner(F.coeffs, int(primes[-1]))
+    # reduced degree 1 is a bijection, 0 a constant map, 2 at an odd prime
+    # identifies x with c - x; the rest pays for a value table
+    deg = _reduced_degrees(F.coeffs, primes)
+    inj = deg == 1
+    table = (deg >= 3) | ((deg == 2) & (primes == 2))
+    for i in np.flatnonzero(table).tolist():
+        inj[i] = is_injective_mod_p(F, int(primes[i]))
+    caps = primes
+    if sieve_bound is not None:
+        # a bound at or past p_max^2 leaves every cap at p
+        bound = min(sieve_bound, p_max * p_max)
+        caps = np.where(inj, primes, np.minimum(primes, bound // primes + 1))
+    found = first_zero_scan(F, primes, caps)
+    o = np.where(found > 0, found, np.where(caps >= primes, 0, -1))
+    bad = inj & (o == 0)
+    if bad.any():
+        p = int(primes[bad][0])
+        raise AssertionError(
+            f"injective map mod {p} must have finite rank; scan says otherwise"
         )
+    return PrimeScan(primes, o, inj)
+
+
+def scan_csv(scan: PrimeScan) -> str:
+    """CSV dump of an exact scan: p,ord,pretty,anomalous,injective,ell with 0
+    standing for an infinite ord or ell.  Unresolved rows are refused."""
+    unresolved = scan.ord < 0
+    if unresolved.any():
+        p = int(scan.p[unresolved][0])
+        raise ValueError(
+            f"p={p} is unresolved; export needs an exact scan (no sieve bound)"
+        )
+    cols = (scan.p, scan.ord, scan.pretty, scan.anomalous, scan.injective, scan.ell)
+    rows = zip(*(c.astype(np.int64).tolist() for c in cols))
+    lines = ["p,ord,pretty,anomalous,injective,ell"]
+    lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -163,16 +197,19 @@ def scan_csv(records) -> str:
 def low_rank_primes(F: IntPolynomial, beta: float, x: int) -> list[int]:
     """Primes p <= x whose rank is at most beta * log_d(p), d the degree.
     These are the primes small enough to see their own orbit zero early; the
-    set is conjecturally sparse, growing like a power x^beta at most."""
+    set is conjecturally sparse, growing like a power x^beta at most.  x must
+    be below 2^31, the lockstep kernel's limit."""
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
     if x < 2:
         return []
     require_wandering(F)
+    if x >= _VEC_MODULUS_MAX:
+        raise ValueError("low-rank scans are limited to x below 2^31")
     logd = math.log(F.degree)
     primes = []
     caps = []
-    for p in sieve_primes(x):
+    for p in sieve_primes(x).tolist():
         cap = int(beta * math.log(p) / logd)
         if cap >= 1:
             primes.append(p)
@@ -213,21 +250,20 @@ def low_rank_growth(
 def mertens_pretty_product(F: IntPolynomial, bound: int) -> tuple[float, int]:
     """Product of (1 - 1/q) over pretty primes q <= bound, with the count of
     factors.  The heuristic density of integers coprime to every pretty prime."""
+    scan = scan_primes(F, 2, bound)
+    pretty = scan.p[scan.pretty].tolist()
     prod = Fraction(1)
-    count = 0
-    for rec in scan_primes(F, 2, bound):
-        if rec.pretty:
-            prod *= Fraction(rec.p - 1, rec.p)
-            count += 1
-    return float(prod), count
+    for p in pretty:
+        prod *= Fraction(p - 1, p)
+    return float(prod), len(pretty)
 
 
 def pretty_prime_density(F: IntPolynomial, x: int) -> float:
     """Fraction of primes up to x that divide some orbit term."""
-    recs = scan_primes(F, 2, x)
-    if not recs:
+    scan = scan_primes(F, 2, x)
+    if not len(scan):
         raise ValueError("no primes up to x")
-    return sum(1 for r in recs if r.pretty) / len(recs)
+    return int(np.count_nonzero(scan.pretty)) / len(scan)
 
 
 @dataclass(frozen=True)
@@ -257,9 +293,9 @@ class AnomalousReport:
 
 
 def anomalous_report(F: IntPolynomial, x: int) -> AnomalousReport:
-    recs = scan_primes(F, 2, x)
-    anom = tuple(r.p for r in recs if r.anomalous)
-    f0 = tuple(r.p for r in recs if r.ord == 1)
+    scan = scan_primes(F, 2, x)
+    anom = tuple(scan.p[scan.anomalous].tolist())
+    f0 = tuple(scan.p[scan.ord == 1].tolist())
     partial = sum(1.0 / p for p in anom) + sum(1.0 / p for p in f0)
     clean = all(p * p <= x for p in anom)
     verdict = "plausibly nice" if clean else "inconclusive"
@@ -279,8 +315,9 @@ def tail_partial_sum(
         raise ValueError("need 0 <= eps < veps")
     if not (2 <= z < x):
         raise ValueError("need 2 <= z < x")
+    scan = scan_primes(F, 2, x)
+    tail = scan.pretty & (scan.p > z)
     total = 0.0
-    for rec in scan_primes(F, 2, x):
-        if rec.p > z and rec.pretty:
-            total += math.log(rec.p) ** eps / (rec.p * int(rec.ord) ** veps)
+    for p, o in zip(scan.p[tail].tolist(), scan.ord[tail].tolist()):
+        total += math.log(p) ** eps / (p * o**veps)
     return total, 1.0 / math.log(z) ** (veps - eps)

@@ -179,14 +179,13 @@ def _suite_joint_rank_lcm(F, bound, cache, table):
 
 def _suite_prime_ell(F, bound, cache, table):
     tlim = len(table) - 1
+    scan = scan_primes(F, 2, tlim)
+    pretty = scan.pretty
     checked = 0
-    for rec in scan_primes(F, 2, tlim):
-        if not rec.pretty:
-            continue
-        o = int(rec.ord)
-        expect = rec.p * o if o < rec.p else rec.p
-        if rec.ell != expect or _ell_from_table(table, rec.p) != expect:
-            return False, f"ell({rec.p}) = {rec.ell}, product form says {expect}"
+    for p, o, lp in zip(*(c[pretty].tolist() for c in (scan.p, scan.ord, scan.ell))):
+        expect = p * o if o < p else p
+        if lp != expect or _ell_from_table(table, p) != expect:
+            return False, f"ell({p}) = {lp}, product form says {expect}"
         checked += 1
     return True, f"{checked} pretty primes: ell(p) = p*ord(p) (or p when anomalous)"
 
@@ -203,7 +202,8 @@ def _suite_rank_cap(F, bound, cache, table):
 def _suite_rigid_valuations(F, bound, cache, table):
     if len(F.coeffs) > 1 and F.coeffs[1] != 0:
         return True, "skipped: nonzero linear coefficient"
-    pretty = [rec.p for rec in scan_primes(F, 2, 100) if rec.pretty][:3]
+    scan = scan_primes(F, 2, 100)
+    pretty = scan.p[scan.pretty][:3].tolist()
     if not pretty:
         return True, "skipped: no pretty prime up to 100"
     checked = 0
@@ -225,29 +225,34 @@ def _suite_rigid_valuations(F, bound, cache, table):
 
 def _suite_anomalous_injective(F, bound, cache, table):
     tlim = len(table) - 1
-    recs = scan_primes(F, 2, tlim)
-    anom = [rec.p for rec in recs if rec.anomalous]
-    bad = [rec.p for rec in recs if rec.anomalous and not rec.injective]
+    scan = scan_primes(F, 2, tlim)
+    anom = scan.p[scan.anomalous].tolist()
+    bad = scan.p[scan.anomalous & ~scan.injective].tolist()
     if bad:
         return False, f"anomalous primes {bad} not injective"
     return True, f"anomalous primes {anom or 'none'} all injective"
 
 
+def _first_row(mask: np.ndarray) -> int | None:
+    return int(np.argmax(mask)) if mask.any() else None
+
+
 def _suite_record_consistency(F, bound, cache, table):
     tlim = len(table) - 1
-    for rec in scan_primes(F, 2, tlim):
-        if rec.ord is None:
-            return False, f"exact scan left p={rec.p} unresolved"
-        if rec.ord != INF and not (1 <= rec.ord <= rec.p):
-            return False, f"ord({rec.p}) = {rec.ord} out of range"
-        if rec.anomalous != (rec.ord == rec.p):
-            return False, f"anomalous flag wrong at p={rec.p}"
-        if rec.injective and rec.ord == INF:
-            return False, f"injective p={rec.p} with infinite rank"
-        if rec.pretty and rec.ell != math.lcm(rec.p, int(rec.ord)):
-            return False, f"ell({rec.p}) inconsistent"
-        if int(table[rec.p]) != (0 if rec.ord == INF else int(rec.ord)):
-            return False, f"scan and table disagree at p={rec.p}"
+    scan = scan_primes(F, 2, tlim)
+    p, o = scan.p, scan.ord
+    checks = (
+        (o < 0, "exact scan left p={p} unresolved"),
+        ((o != 0) & ((o < 1) | (o > p)), "ord({p}) = {o} out of range"),
+        (scan.anomalous != (o == p), "anomalous flag wrong at p={p}"),
+        (scan.injective & (o == 0), "injective p={p} with infinite rank"),
+        (scan.pretty & (scan.ell != np.lcm(p, o)), "ell({p}) inconsistent"),
+        (table[p] != o, "scan and table disagree at p={p}"),
+    )
+    for bad, message in checks:
+        i = _first_row(bad)
+        if i is not None:
+            return False, message.format(p=int(p[i]), o=int(o[i]))
     return True, f"records coherent up to {tlim}"
 
 
@@ -255,12 +260,20 @@ def _suite_scan_policies(F, bound, cache, table):
     x = min(5000, 50 * bound // 3)
     exact = scan_primes(F, 2, x)
     sieved = scan_primes(F, 2, x, sieve_bound=x)
-    for er, sr in zip(exact, sieved):
-        if sr.ord is None:
-            if er.ell != INF and er.ell <= x:
-                return False, f"p={er.p}: bound scan dropped ell = {er.ell} <= {x}"
-        elif (sr.ord, sr.anomalous, sr.injective) != (er.ord, er.anomalous, er.injective):
-            return False, f"p={er.p}: policies disagree"
+    if not np.array_equal(exact.p, sieved.p):
+        return False, "policies scanned different primes"
+    unresolved = sieved.ord < 0
+    i = _first_row(unresolved & (exact.ell > 0) & (exact.ell <= x))
+    if i is not None:
+        return False, f"p={int(exact.p[i])}: bound scan dropped ell = {int(exact.ell[i])} <= {x}"
+    differ = (
+        (sieved.ord != exact.ord)
+        | (sieved.anomalous != exact.anomalous)
+        | (sieved.injective != exact.injective)
+    )
+    i = _first_row(~unresolved & differ)
+    if i is not None:
+        return False, f"p={int(exact.p[i])}: policies disagree"
     return True, f"bounded scan consistent with exact up to {x}"
 
 

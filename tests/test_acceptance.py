@@ -115,7 +115,8 @@ def test_acceptance_06_rigid_valuations():
     bad = []
     checked = 0
     for F in (F1, F3):  # zero linear coefficient
-        pretty = [r.p for r in scan_primes(F, 2, 100) if r.pretty][:3]
+        scan = scan_primes(F, 2, 100)
+        pretty = scan.p[scan.pretty][:3].tolist()
         for p in pretty:
             emax = min(int(61 * math.log(2) / math.log(p)), 40)
             for n in range(1, 41):
@@ -136,9 +137,9 @@ def test_acceptance_07_anomalous_primes_are_injective():
     details = []
     ok = True
     for F in POLYS:
-        recs = scan_primes(F, 2, 10**4)
-        anom = [r.p for r in recs if r.anomalous]
-        if any(not r.injective for r in recs if r.anomalous):
+        scan = scan_primes(F, 2, 10**4)
+        anom = scan.p[scan.anomalous].tolist()
+        if not scan.injective[scan.anomalous].all():
             ok = False
         if F.degree == 2 and any(p > 2 for p in anom):
             ok = False  # odd primes cannot carry an injective quadratic

@@ -9,9 +9,9 @@ from dyngcd.arith_core import (
 
 
 def test_sieve_primes():
-    assert sieve_primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert sieve_primes(2) == [2]
-    assert sieve_primes(1) == []
+    assert sieve_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert sieve_primes(2).tolist() == [2]
+    assert sieve_primes(1).tolist() == []
 
 
 def test_factorize():

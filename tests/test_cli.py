@@ -86,6 +86,30 @@ def test_density_csv(capsys):
     assert "1000,465,465" in out
 
 
+# the checkpoint rows of the sieve route at x = 10^6, as the scan of one
+# PrimeRecord per prime and one bounded scan per checkpoint printed them
+@pytest.mark.parametrize(
+    "poly, k, rows",
+    [
+        ("x^2+1", "2", [
+            "250000,111408,111408,0.445632000,0.445632000",
+            "500000,222819,222819,0.445638000,0.445638000",
+            "1000000,445643,445643,0.445643000,0.445643000",
+        ]),
+        ("x^2+x+1", "3", [
+            "250000,37985,37985,0.151940000,0.151940000",
+            "500000,75968,75968,0.151936000,0.151936000",
+            "1000000,151936,151936,0.151936000,0.151936000",
+        ]),
+    ],
+)
+def test_density_sieve_checkpoint_rows_at_1e6(capsys, poly, k, rows):
+    args = ("density", "--poly", poly, "--k", k, "--x", "1000000", "--method", "sieve")
+    rc, out, _ = run(capsys, *args, "--format", "csv")
+    assert rc == 0
+    assert out == "x,count_A,count_B,ratio_A,ratio_B\n" + "".join(r + "\n" for r in rows)
+
+
 def test_series_table(capsys):
     rc, out, _ = run(capsys, "series", "--poly", "x^2+1", "--k", "1", "--T", "120")
     assert rc == 0
@@ -227,6 +251,14 @@ def test_nonpositive_x_or_T_exit_code(capsys, command, message):
 def test_coefficient_too_large_for_int64_kernel_exit_code(capsys):
     rc, out, err = run(capsys, "scan", "--poly", "x^2+100000000000000000000", "--pmax", "50")
     assert rc == 2 and out == "" and "int64" in err
+
+
+def test_scan_past_the_kernel_limit_is_refused_before_sieving(capsys):
+    # sieving [0, 2^31] first would take gigabytes before the kernel refused
+    rc, out, err = run(capsys, "scan", "--poly", "x^2+1", "--pmin", "2147483000",
+                       "--pmax", "2147484000")
+    assert rc == 2 and out == ""
+    assert err == "error: prime scans are limited to p_max below 2^31\n"
 
 
 @pytest.mark.parametrize(

@@ -391,6 +391,29 @@ def test_density_report_checkpoints_csv():
     assert lines[-1] == "1000,465,465,0.465000000,0.465000000"
 
 
+# k up to 30 takes in targets whose ell(k) lies past x/4 or past x (13 and 26
+# for x^2+1, 23 for x^3+x^2+1, 11 and 21 for 2x^2+3), and targets that are
+# not pretty at all
+@pytest.mark.parametrize("poly", ["x^2+1", "x^2+x+1", "x^3+x^2+1", "2*x^2+3"])
+@pytest.mark.parametrize("x", [60, 200, 8000, 40000])
+def test_report_checkpoints_match_fresh_counts(poly, x):
+    G = parse_polynomial(poly)
+    straddles = 0
+    for k in range(1, 31):
+        q = GcdQuery(G, k)
+        rep = build_density_report(q, x, method="sieve", T=8)
+        want = []
+        for cx in (x // 4, x // 2, x):
+            fresh = count_sieve(GcdQuery(G, k), cx)
+            if x <= 8000:
+                assert fresh == count_oracle(q, cx)
+            want.append((cx, *fresh))
+        assert rep.checkpoints == want
+        straddles += x // 4 < ell(G, k) <= x
+    if x == 200 and poly != "x^2+x+1":
+        assert straddles  # some ell(k) lands between the first and last checkpoint
+
+
 def test_density_report_not_pretty_flag():
     rep = build_density_report(GcdQuery(F, 3), 500, method="both", T=100)
     assert rep.count_A == 0 and not rep.nonempty_B

@@ -39,6 +39,7 @@ from dyngcd.orbit_engine import (
     ord_direct_capped,
     ord_table,
 )
+from dyngcd.prime_lab import scan_primes
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -189,6 +190,53 @@ def test_ord_table_matches_plain_iteration(F, limit):
     assert t[1] == 1
     for n in range(2, limit + 1):
         assert t[n] == (plain_first_zero(F, n, n) or 0)
+
+
+# ---------------------------------------------------------------------------
+# the columnar prime scan: ranks and the injectivity screen
+# ---------------------------------------------------------------------------
+
+# the int64 guard admits |c| up to this edge at every prime below 3000
+SCAN_EDGE = 2**63 - 1 - 2998**2
+SCAN_COEFF = st.one_of(
+    SMALL, st.integers(-SCAN_EDGE, SCAN_EDGE), st.sampled_from([-SCAN_EDGE, SCAN_EDGE])
+)
+
+
+def table_injective(F: IntPolynomial, p: int) -> bool:
+    """x -> F(x) mod p is a bijection, from the table of all p values."""
+    vals = _horner_vec(F.coeffs, np.arange(p, dtype=np.int64), np.int64(p))
+    return np.unique(vals).size == p
+
+
+def plain_scan_ord(F: IntPolynomial, p: int, injective: bool, bound) -> int:
+    """The scan's ord entry for p from a plain orbit walk: the rank when it
+    lies within the policy's cap, else 0 (cap p, so the rank is infinite) or
+    -1 (unresolved under the bound)."""
+    tail, period, _ = plain_orbit(F, p)
+    rank = period if tail == 0 else None  # 0 recurs only if it is on the cycle
+    cap = p if bound is None or injective else min(p, bound // p + 1)
+    if rank is not None and rank <= cap:
+        return rank
+    return 0 if cap >= p else -1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(F=polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), data=st.data())
+def test_scan_columns_match_plain_walk_and_value_table(F, data):
+    p_min = data.draw(st.integers(2, 3000))
+    p_max = data.draw(st.integers(p_min, 3000))
+    below = data.draw(st.integers(1, max(1, p_max - 1)))
+    above = data.draw(st.one_of(st.integers(p_max, 2 * p_max**2), st.just(10**30)))
+    primes = [p for p in range(p_min, p_max + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    injective = [table_injective(F, p) for p in primes]
+    for bound in (None, below, above):
+        scan = scan_primes(F, p_min, p_max, bound)
+        assert len(scan) == len(primes) and scan.p.tolist() == primes
+        assert scan.injective.tolist() == injective
+        want = [plain_scan_ord(F, p, i, bound) for p, i in zip(primes, injective)]
+        assert scan.ord.tolist() == want
+        assert scan.ell.tolist() == [math.lcm(p, o) if o > 0 else o for p, o in zip(primes, want)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dyngcd.orbit_engine import INF, parse_polynomial
+from dyngcd.orbit_engine import parse_polynomial
 from dyngcd.prime_lab import (
     anomalous_report,
     is_injective_mod_p,
@@ -55,45 +55,49 @@ def test_injectivity_guard():
 # ---------------------------------------------------------------------------
 
 
+def _rows(scan):
+    """p -> (ord, pretty, anomalous, injective, ell) as Python values."""
+    cols = (scan.ord, scan.pretty, scan.anomalous, scan.injective, scan.ell)
+    return dict(zip(scan.p.tolist(), zip(*(c.tolist() for c in cols))))
+
+
 def test_exact_scan_small():
-    recs = {r.p: r for r in scan_primes(F, 2, 20)}
-    assert recs[2].ord == 2 and recs[2].anomalous and recs[2].injective
-    assert recs[5].ord == 3 and recs[5].ell == 15
-    assert recs[13].ord == 4 and recs[13].ell == 52
+    recs = _rows(scan_primes(F, 2, 20))
+    assert recs[2] == (2, True, True, True, 2)
+    assert recs[5][0] == 3 and recs[5][4] == 15
+    assert recs[13][0] == 4 and recs[13][4] == 52
     for p in (3, 7, 11, 17, 19):
-        assert recs[p].ord == INF
-        assert recs[p].pretty is False
-        assert recs[p].ell == INF
-    assert [p for p, r in sorted(recs.items()) if r.pretty] == [2, 5, 13]
+        assert recs[p] == (0, False, False, False, 0)  # 0: infinite ord and ell
+    assert [p for p, r in sorted(recs.items()) if r[1]] == [2, 5, 13]
 
 
 def test_pretty_primes_to_700():
-    pretty = [r.p for r in scan_primes(F, 2, 700) if r.pretty]
+    scan = scan_primes(F, 2, 700)
+    pretty = scan.p[scan.pretty].tolist()
     assert pretty == [2, 5, 13, 41, 137, 149, 229, 293, 397, 509, 661, 677]
-    assert {r.p: r.ord for r in scan_primes(F, 2, 700)}[677] == 5
+    assert _rows(scan)[677][0] == 5
 
 
 def test_scan_range_edges():
-    assert scan_primes(F, 2, 1) == ()
-    assert [r.p for r in scan_primes(F, 10, 20)] == [11, 13, 17, 19]
+    assert len(scan_primes(F, 2, 1)) == 0
+    assert scan_primes(F, 10, 20).p.tolist() == [11, 13, 17, 19]
 
 
 def test_sieve_bound_policy_agrees_with_exact():
     """Unresolved records under a bound must really have ell past the bound."""
-    exact = {r.p: r for r in scan_primes(F, 2, 997)}
-    for rec in scan_primes(F, 2, 997, sieve_bound=50):
-        truth = exact[rec.p]
-        if rec.ord is None:
-            assert rec.pretty is None
-            assert truth.ell == INF or truth.ell > 50
+    exact = _rows(scan_primes(F, 2, 997))
+    for p, rec in _rows(scan_primes(F, 2, 997, sieve_bound=50)).items():
+        truth = exact[p]
+        if rec[0] == -1:  # unresolved
+            assert not rec[1]
+            assert truth[4] == 0 or truth[4] > 50
         else:
-            assert (rec.ord, rec.anomalous) == (truth.ord, truth.anomalous)
+            assert (rec[0], rec[2]) == (truth[0], truth[2])
 
 
 def test_sieve_bound_never_misses_anomalous():
     # the lone anomalous prime of this polynomial survives any bound
-    recs = {r.p: r for r in scan_primes(F, 2, 100, sieve_bound=100)}
-    assert recs[2].anomalous
+    assert _rows(scan_primes(F, 2, 100, sieve_bound=100))[2][2]
 
 
 def test_scan_csv_golden():
@@ -111,9 +115,23 @@ def test_scan_csv_golden():
 
 def test_scan_csv_refuses_unresolved():
     recs = scan_primes(F, 2, 997, sieve_bound=50)
-    assert any(r.ord is None for r in recs)
+    assert (recs.ord == -1).any()
     with pytest.raises(ValueError):
         scan_csv(recs)
+
+
+def test_scans_past_the_kernel_limit_are_refused_before_sieving(monkeypatch):
+    from dyngcd import prime_lab
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(prime_lab, "sieve_primes", no_sieve)
+    with pytest.raises(ValueError, match="2\\^31"):
+        scan_primes(F, 2**31 - 1000, 2**31)
+    with pytest.raises(ValueError, match="2\\^31"):
+        low_rank_primes(F, 2.0, 2**31)
+    assert len(scan_primes(F, 2**31 + 5, 2**31)) == 0  # empty range, nothing to refuse
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ SCAN_COMMANDS = [
     "scan --poly x^3+x^2+1 --cache scan2.csv --pmin 38500 --pmax 40000",
     "series --poly x^2+1 --cache scan0.csv --k 1 --T 15400",
     "density --poly x^2+1 --k 5 --x 1000000 --method sieve --format json",
+    "density --poly x^2+x+1 --k 3 --x 1000000 --method sieve --format json",
 ]
 
 

@@ -57,3 +57,13 @@ def test_verify_import_loads_the_layers_install_reads():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert {"dyngcd.prime_lab", "dyngcd.density_lab"} <= set(res.stdout.split())
+
+
+def test_scan_length_is_its_prime_count():
+    # tracer._count_scan adds len(result) to prime_lab.scan_primes.primes
+    from dyngcd.prime_lab import scan_primes
+
+    F = orbit_engine.parse_polynomial("x^2+1")
+    for a, b, bound in ((2, 100, None), (90, 400, 50), (24, 28, None), (1, 1, None)):
+        primes = [p for p in range(max(a, 2), b + 1) if all(p % d for d in range(2, p))]
+        assert len(scan_primes(F, a, b, bound)) == len(primes)
