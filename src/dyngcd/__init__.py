@@ -38,7 +38,8 @@ _EXPORTS = {
             "b_nonempty", "build_Lk", "build_density_report",
             "count_A_inclusion_exclusion", "count_oracle", "count_sieve",
             "floor_identity_B", "linear_coprime_report", "membership",
-            "non_multiples_count", "series_density_A", "series_density_B",
+            "non_multiples_count", "series_checkpoints", "series_density_A",
+            "series_density_B",
             "small_prime_hit_density", "y_k_lower_bound",
         ),
         "density_lab",

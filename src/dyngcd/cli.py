@@ -145,19 +145,18 @@ def cmd_density(ns) -> int:
 
 
 def cmd_series(ns) -> int:
-    from .density_lab import GcdQuery, series_density_A, series_density_B
+    from .density_lab import GcdQuery, series_checkpoints
 
     F = parse_polynomial(ns.poly)
     if ns.T < 1:
         raise ValueError("T must be >= 1")
     q = GcdQuery(F, ns.k, cache=_load_cache(ns, F))
-    ts = sorted(set(t for t in (ns.T // 4, ns.T // 2, ns.T) if t >= 1))
+    # every row before the header, so that a refused k leaves stdout empty
+    series_b, series_a = series_checkpoints(q, ns.T)
     print("T,series_B,last_block_B,series_A,last_block_A")
-    for t in ts:
-        sb = series_density_B(q, t)
-        sa = series_density_A(q, t)
+    for sb, sa in zip(series_b, series_a):
         print(
-            f"{t},{sb.value:.9f},{sb.last_block:.3e},{sa.value:.9f},{sa.last_block:.3e}"
+            f"{sb.T},{sb.value:.9f},{sb.last_block:.3e},{sa.value:.9f},{sa.last_block:.3e}"
         )
     _save_cache(ns, q.cache)
     return 0

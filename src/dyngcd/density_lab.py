@@ -160,6 +160,8 @@ def _b_mask(g: np.ndarray, k: int) -> np.ndarray:
 
 
 def _counts_from_gvec(g: np.ndarray, k: int, x: int) -> tuple[int, int]:
+    if k > x:
+        return 0, 0  # gcd(n, a_n) <= n <= x; a k past int64 never reaches numpy
     gx = g[1 : x + 1]
     count_a = int((gx == k).sum())
     if k == 1:
@@ -350,18 +352,23 @@ class SeriesTruncation:
     last_block: float
 
 
-def _series(q: GcdQuery, T: int, of_A: bool) -> SeriesTruncation:
+def _series(q: GcdQuery, T: int, of_A: bool, scan_top: int | None) -> SeriesTruncation:
     """sum mu(d) / ell(d*k) over the squarefree d <= T of the walk, summed in
     its order, for B(k) or (of_A) for A(k); last_block sums 1/ell(d*k) over
-    T/2 < d <= T."""
+    T/2 < d <= T.  The primes come from the rows p <= T of the exact scan up
+    to scan_top >= T (default T), which are the exact scan up to T."""
     q._identity_only("series_density_A" if of_A else "series_density_B")
     if T < 1:
         raise ValueError("T must be >= 1")
+    if scan_top is None:
+        scan_top = T
+    if scan_top < T:
+        raise ValueError("scan_top must be >= T")
     F, k = q.F, q.k
     rk = ord_crt(F, k, q.cache)
     if rk == INF:
         return SeriesTruncation(T, 0.0, 0.0)
-    pool = _pretty_prime_pool(q, scan_primes(F, 2, T), coprime_to=k)
+    pool = _pretty_prime_pool(q, scan_primes(F, 2, scan_top).upto(T), coprime_to=k)
     if of_A:
         for p, e in factorize(k).factors:
             if p <= T:
@@ -379,18 +386,20 @@ def _series(q: GcdQuery, T: int, of_A: bool) -> SeriesTruncation:
     return SeriesTruncation(T, total, block)
 
 
-def series_density_B(q: GcdQuery, T: int) -> SeriesTruncation:
+def series_density_B(q: GcdQuery, T: int, scan_top: int | None = None) -> SeriesTruncation:
     """Truncation at T of the density series for B(k):
 
         sum over squarefree d <= T coprime to k of mu(d) / ell(d*k).
 
     Only pretty d contribute (infinite ell kills the term).  last_block is
     the absolute tail sum over T/2 < d <= T, the reported convergence gauge.
+    A scan_top >= T reads the primes off the exact scan up to scan_top, so
+    that truncations at several T share one scan; the value is the same.
     """
-    return _series(q, T, of_A=False)
+    return _series(q, T, False, scan_top)
 
 
-def series_density_A(q: GcdQuery, T: int) -> SeriesTruncation:
+def series_density_A(q: GcdQuery, T: int, scan_top: int | None = None) -> SeriesTruncation:
     """Truncation at T of the density series for A(k):
 
         sum over all squarefree t <= T of mu(t) / ell(t*k),
@@ -402,9 +411,22 @@ def series_density_A(q: GcdQuery, T: int) -> SeriesTruncation:
     over the primes p of t dividing k and of ord(p) over the other primes of
     t, since ord(p^e) divides ord(p^(e+1)).  So this is the walk of the B
     series with each prime of k admitted at rank ord(p^(v_p(k)+1)), and left
-    out when that rank is infinite.
+    out when that rank is infinite.  scan_top is as in series_density_B.
     """
-    return _series(q, T, of_A=True)
+    return _series(q, T, True, scan_top)
+
+
+def series_checkpoints(
+    q: GcdQuery, T: int
+) -> tuple[list[SeriesTruncation], list[SeriesTruncation]]:
+    """The B and the A truncations at T/4, T/2 and T (those >= 1), all read
+    off one exact scan up to T."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    ts = sorted(set(t for t in (T // 4, T // 2, T) if t >= 1))
+    series_b = [series_density_B(q, t, scan_top=T) for t in ts]
+    series_a = [series_density_A(q, t, scan_top=T) for t in ts]
+    return series_b, series_a
 
 
 def count_A_inclusion_exclusion(q: GcdQuery, x: int) -> int:
@@ -818,6 +840,9 @@ def build_density_report(
     shared = q.cache
     q = replace(q, cache=OrdCache(shared.poly_key, shared.ranks))
     flags: list[str] = []
+    # rank k first, so that the oracle route refuses a k past 2^62 as the
+    # sieve route does, before numpy meets it
+    ord_crt(q.F, q.k, q.cache)
     cps = sorted(set(cx for cx in (x // 4, x // 2, x) if cx >= 1))
     if method in ("sieve", "both"):
         counts = dict(zip(cps, _sieve_counts(q, x, cps)))
@@ -834,9 +859,7 @@ def build_density_report(
     fi = floor_identity_B(q, x)
     if method == "both" and fi != count_b:
         raise SelfCheckError(f"floor identity {fi} != count_B {count_b} at x={x}")
-    ts = sorted(set(t for t in (T // 4, T // 2, T) if t >= 1))
-    series_b = [series_density_B(q, t) for t in ts]
-    series_a = [series_density_A(q, t) for t in ts]
+    series_b, series_a = series_checkpoints(q, T)
     nb = b_nonempty(q)
     na = a_nonempty(q)
     if ord_crt(q.F, q.k, q.cache) == INF:

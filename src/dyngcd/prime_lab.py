@@ -16,9 +16,18 @@ guessed.  The one trap in that shortcut is an anomalous prime (ord(p) = p, so
 ell(p) = p <= x); those are exactly the primes whose reduced map is
 injective, so the scan screens injectivity first and gives injective primes
 their full cap.  The screen reduces the coefficients mod every prime in one
-array operation: reduced degree 1 is injective, degree 0 is not, and degree 2
-is not at an odd prime, so only the primes left over (reduced degree 2 at
-p = 2, or 3 and more) pay for a value table.  Quadratics never build one.
+array operation and decides most primes in closed form, after Dickson's
+classification of the normalized permutation polynomials of degree <= 5
+(Lidl and Niederreiter, Finite Fields, Table 7.1):
+
+- reduced degree 0 is not injective, degree 1 is;
+- degree 2 is not at an odd prime (x and c - x collide);
+- degree 3 at p > 3 is exactly when c2^2 = 3 c3 c1 and p = 2 (mod 3);
+- degree 4 at p > 7 never is.
+
+Only the primes left over pay for a value table (is_injective_mod_p): degree
+2 at p = 2, degree 3 at p <= 3, degree 4 at p <= 7 and degree 5 and more.
+Quadratics, cubics and quartics build at most a handful.
 """
 
 from __future__ import annotations
@@ -49,8 +58,11 @@ def is_injective_mod_p(F: IntPolynomial, p: int) -> bool:
 
     Reduce the coefficients first: degree 1 survivors are affine bijections,
     degree 2 survivors can never be injective at an odd prime (x and c - x
-    collide for half the residues), so only the leftover cases pay for a
-    value table.
+    collide for half the residues), and every other case pays for a table of
+    the p values.  This is the reference for scan_primes' screen, which
+    decides reduced degree 3 at p > 3 and 4 at p > 7 in closed form from
+    Dickson's table (Lidl and Niederreiter, Finite Fields, Table 7.1) and
+    calls this only for the primes left over.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -93,6 +105,13 @@ class PrimeScan:
     def __len__(self) -> int:
         return self.p.size
 
+    def upto(self, p_max: int) -> "PrimeScan":
+        """The rows with p <= p_max.  They are the scan of [p_min, p_max]
+        under the same policy, since no prime's cap depends on the top of
+        the range: a view, no copy."""
+        n = int(np.searchsorted(self.p, p_max, side="right"))
+        return PrimeScan(self.p[:n], self.ord[:n], self.injective[:n])
+
     @property
     def pretty(self) -> np.ndarray:
         """p divides some orbit term (finite rank)."""
@@ -124,6 +143,34 @@ def _reduced_degrees(coeffs: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
     return deg
 
 
+def _injective_column(F: IntPolynomial, primes: np.ndarray) -> np.ndarray:
+    """Whether x -> F(x) is a bijection mod p, at every prime: in closed form
+    by the module docstring's rules, and by is_injective_mod_p's value table
+    at the primes they leave over.  check_int64_horner must have passed.
+
+    A cubic c3 x^3 + c2 x^2 + c1 x + c0 with p > 3 is c3 (y^3 + a y) plus a
+    constant for y = x + c2 / (3 c3), where a = (3 c3 c1 - c2^2) / (3 c3^2);
+    y^3 + a y permutes F_p exactly when a = 0 and p = 2 (mod 3).  Every
+    coefficient is reduced mod p first, so each product stays below
+    p^2 < 2^62."""
+    deg = _reduced_degrees(F.coeffs, primes)
+    inj = deg == 1
+    cubic = (deg == 3) & (primes > 3)
+    if cubic.any():
+        p = primes[cubic]
+        c1, c2, c3 = (np.int64(c) % p for c in F.coeffs[1:4])
+        inj[cubic] = (p % 3 == 2) & (c2 * c2 % p == 3 * c3 % p * c1 % p)
+    table = (
+        ((deg == 2) & (primes == 2))
+        | ((deg == 3) & (primes <= 3))
+        | ((deg == 4) & (primes <= 7))
+        | (deg >= 5)
+    )
+    for i in np.flatnonzero(table).tolist():
+        inj[i] = is_injective_mod_p(F, int(primes[i]))
+    return inj
+
+
 @lru_cache(maxsize=32)
 def scan_primes(
     F: IntPolynomial, p_min: int, p_max: int, sieve_bound: int | None = None
@@ -150,13 +197,7 @@ def scan_primes(
     if not primes.size:
         return _EMPTY_SCAN
     check_int64_horner(F.coeffs, int(primes[-1]))
-    # reduced degree 1 is a bijection, 0 a constant map, 2 at an odd prime
-    # identifies x with c - x; the rest pays for a value table
-    deg = _reduced_degrees(F.coeffs, primes)
-    inj = deg == 1
-    table = (deg >= 3) | ((deg == 2) & (primes == 2))
-    for i in np.flatnonzero(table).tolist():
-        inj[i] = is_injective_mod_p(F, int(primes[i]))
+    inj = _injective_column(F, primes)
     caps = primes
     if sieve_bound is not None:
         # a bound at or past p_max^2 leaves every cap at p

@@ -101,6 +101,12 @@ def test_density_csv(capsys):
             "500000,75968,75968,0.151936000,0.151936000",
             "1000000,151936,151936,0.151936000,0.151936000",
         ]),
+        # as the oracle prints them (--method both at 10^6 agrees)
+        ("x^3+x^2+1", "1", [
+            "250000,206196,206196,0.824784000,0.824784000",
+            "500000,412384,412384,0.824768000,0.824768000",
+            "1000000,824774,824774,0.824774000,0.824774000",
+        ]),
     ],
 )
 def test_density_sieve_checkpoint_rows_at_1e6(capsys, poly, k, rows):
@@ -240,12 +246,26 @@ def test_verify_refuses_preperiodic_poly_before_any_suite(capsys, poly_args):
         ("diag --poly x^2+1 --x 200 --beta inf", "beta must be positive and finite"),
         ("coprime --poly x^2+1 --a 2 --b 13 --x 100 --z 1", "need z >= 2"),
         ("coprime --poly x^2+1 --a 2 --b 13 --x 100 --z 5 --z 0", "need z >= 2"),
+        # series ranks k before its header; the oracle route ranks k, as the
+        # sieve route does, before numpy meets a k past int64
+        ("series --poly x^2+1 --k 10000000000000000000000000 --T 100",
+         "factorize limited to n below 318665857834031151167461"),
+        ("density --poly x^2+1 --k 9223372036854775808 --x 100 --method oracle",
+         "modulus 9223372036854775808 exceeds the 2^62 bound"),
     ],
 )
 def test_nonpositive_x_or_T_exit_code(capsys, command, message):
     rc, out, err = run(capsys, *command.split())
     assert rc == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_oracle_route_counts_a_rankless_k_past_int64_like_the_sieve(capsys):
+    # ord(2) is infinite for x^2+x+1, so ranking k = 2^63 refuses nothing
+    args = ["density", "--poly", "x^2+x+1", "--k", str(2**63), "--x", "100"]
+    rc, out, _ = run(capsys, *args, "--method", "oracle")
+    assert rc == 0 and "count_A 0  count_B 0  floor_identity 0" in out
+    assert out == run(capsys, *args, "--method", "sieve")[1].replace("[sieve]", "[oracle]")
 
 
 def test_coefficient_too_large_for_int64_kernel_exit_code(capsys):

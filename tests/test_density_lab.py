@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -163,6 +164,16 @@ def test_counts_other_polynomials():
         for k, c in expected.items():
             q = GcdQuery(FF, k)
             assert count_sieve(q, 1000) == count_oracle(q, 1000) == (c, c)
+
+
+def test_cubic_sieve_at_3e5_within_budget():
+    # a value table per prime made this bounded scan O(sum of p): 148 s
+    q = GcdQuery(parse_polynomial("x^3+x^2+1"), 1)
+    t0 = time.perf_counter()
+    counts = count_sieve(q, 300_000)
+    assert time.perf_counter() - t0 < 5.0
+    assert counts == (247436, 247436)
+    assert floor_identity_B(q, 300_000) == 247436
 
 
 def test_exact_gcd_members():

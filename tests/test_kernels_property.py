@@ -204,9 +204,11 @@ SCAN_COEFF = st.one_of(
 
 
 def table_injective(F: IntPolynomial, p: int) -> bool:
-    """x -> F(x) mod p is a bijection, from the table of all p values."""
+    """x -> F(x) mod p is a bijection, from the table of all p values: sorted,
+    they are 0 .. p-1 exactly when none repeats (sorting is several times
+    faster than np.unique's hashing at these sizes)."""
     vals = _horner_vec(F.coeffs, np.arange(p, dtype=np.int64), np.int64(p))
-    return np.unique(vals).size == p
+    return np.array_equal(np.sort(vals), np.arange(p))
 
 
 def plain_scan_ord(F: IntPolynomial, p: int, injective: bool, bound) -> int:
@@ -237,6 +239,48 @@ def test_scan_columns_match_plain_walk_and_value_table(F, data):
         want = [plain_scan_ord(F, p, i, bound) for p, i in zip(primes, injective)]
         assert scan.ord.tolist() == want
         assert scan.ell.tolist() == [math.lcm(p, o) if o > 0 else o for p, o in zip(primes, want)]
+
+
+@st.composite
+def shifted_cubes(draw):
+    """c3 (x + s)^3 + c0 with every coefficient inside the guard's edge: a
+    bijection at every p = 2 (mod 3) with p not dividing 3 c3, the cubics the
+    screen's closed form must call injective."""
+    c3 = draw(st.one_of(st.integers(1, 50), st.integers(1, SCAN_EDGE)))
+    s_max = int((SCAN_EDGE // c3) ** (1 / 3)) + 1  # then down to the exact edge
+    while max(3 * c3 * s_max**2, c3 * s_max**3) > SCAN_EDGE:
+        s_max -= 1
+    s = draw(st.integers(-s_max, s_max))
+    shift = c3 * s**3
+    lo, hi = max(-SCAN_EDGE, -SCAN_EDGE - shift), min(SCAN_EDGE, SCAN_EDGE - shift)
+    c0 = draw(st.one_of(st.integers(max(lo, -50), min(hi, 50)), st.integers(lo, hi),
+                        st.sampled_from([lo, hi])))
+    return IntPolynomial((shift + c0, 3 * c3 * s * s, 3 * c3 * s, c3))
+
+
+@st.composite
+def high_degree_polys(draw):
+    """Cubics to sextics: the closed forms at reduced degree 3 and 4 and the
+    value tables past them."""
+    degree = draw(st.sampled_from([4, 5, 6, 3]))  # cubics last: fewer examples go to them
+    low = draw(st.lists(SCAN_COEFF, min_size=degree, max_size=degree))
+    return IntPolynomial(tuple(low) + (draw(st.integers(1, SCAN_EDGE)),))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(F=st.one_of(high_degree_polys(), shifted_cubes()).filter(
+    lambda F: classify_orbit(F).wandering))
+def test_injectivity_screen_matches_value_table(F):
+    # dropping p = 2 (mod 3) from the cubic rule, or testing c2^2 = c3 c1 in
+    # place of c2^2 = 3 c3 c1, fails on the shifted cubes
+    scan = scan_primes(F, 2, 2999)
+    primes = scan.p.tolist()
+    assert scan.injective.tolist() == [table_injective(F, p) for p in primes]
+    if F.degree == 3:
+        _, c1, c2, c3 = F.coeffs
+        if c2 * c2 == 3 * c3 * c1:
+            assert all(scan.injective[i] for i, p in enumerate(primes)
+                       if p % 3 == 2 and (3 * c3) % p)
 
 
 # ---------------------------------------------------------------------------
