@@ -654,12 +654,15 @@ def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
 def _union_density(progs) -> Fraction | None:
     """Inclusion-exclusion density of a union of residue classes, walking only
     the compatible subsets (an incompatible pair kills its whole branch).
-    None if the walk exceeds its node budget."""
-    total = Fraction(0)
+    None if the walk exceeds its node budget.  Every subset's modulus divides
+    the lcm of all the moduli, so the sum is kept as an integer numerator
+    over that lcm."""
+    lcm_all = math.lcm(*(m for _, m in progs))
+    num = 0
     nodes = 0
 
     def walk(i: int, r: int, m: int, sign: int) -> bool:
-        nonlocal total, nodes
+        nonlocal num, nodes
         for j in range(i, len(progs)):
             sol = crt_pair(r, m, progs[j][0], progs[j][1])
             if sol is None:
@@ -667,14 +670,14 @@ def _union_density(progs) -> Fraction | None:
             nodes += 1
             if nodes > _UNION_NODE_MAX:
                 return False
-            total += Fraction(sign, sol[1])
+            num += sign * (lcm_all // sol[1])
             if not walk(j + 1, sol[0], sol[1], -sign):
                 return False
         return True
 
     if not walk(0, 0, 1, 1):
         return None
-    return total
+    return Fraction(num, lcm_all)
 
 
 @dataclass(frozen=True)

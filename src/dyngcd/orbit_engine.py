@@ -232,11 +232,14 @@ def a_value(F: IntPolynomial, n: int) -> int:
     return v
 
 
-def _first_return(F: IntPolynomial, m: int, limit: int) -> tuple[int, int, int]:
-    """The walk mod m in Python ints, for any modulus up to 2^62."""
-    v = tortoise = 0
-    pos, s = 0, 1
-    for r in range(1, limit + 1):
+def _first_return(
+    F: IntPolynomial, m: int, limit: int,
+    r: int = 0, v: int = 0, tortoise: int = 0, pos: int = 0, s: int = 1,
+) -> tuple[int, int, int]:
+    """The walk mod m in Python ints, for any modulus up to 2^62.  It resumes
+    after step r from a_r = v and the tortoise state (tortoise, pos, s); the
+    defaults start at a_0."""
+    for r in range(r + 1, limit + 1):
         v = F.eval_mod(v, m)
         if v == 0:
             return r, r, v
@@ -287,6 +290,12 @@ def ord_direct(F: IntPolynomial, n: int) -> int | float:
 
 _VEC_MODULUS_MAX = 2**31
 _INT64_LIMIT = 2**63
+# _first_return_vec steps in lockstep only while more lanes than this are
+# live, then finishes each lane in _first_return.  A numpy round costs 10-20 us
+# whatever its lane count and a scalar step about 1 us, so the break-even is
+# near 10 lanes; the last lanes are mostly prime powers such as 2^13, whose
+# orbits run thousands of steps past the others.
+_TAIL_LANES = 8
 
 
 def check_int64_horner(coeffs: tuple[int, ...], m_max: int) -> None:
@@ -322,7 +331,8 @@ def _first_return_vec(
     with limits >= 1, as arrays (r, period, a_r mod m).  The lanes step in
     lockstep, so they share one tortoise schedule; a lane retires at its
     return or its limit, and limits are only tested from the step of the
-    smallest live one."""
+    smallest live one.  The last _TAIL_LANES lanes finish in _first_return
+    from the state the lockstep walk left them in."""
     import numpy as np
 
     steps, period, ends = np.zeros((3, mods.size), dtype=np.int64)
@@ -330,7 +340,7 @@ def _first_return_vec(
     v = tortoise = np.zeros(mods.size, dtype=np.int64)
     r, pos, s = 0, 0, 1
     nxt = int(limits.min()) if limits.size else 0
-    while mods.size:
+    while mods.size > _TAIL_LANES:
         r += 1
         v = _horner_vec(coeffs, v, mods)
         back = (v == 0) | (v == tortoise)
@@ -344,6 +354,10 @@ def _first_return_vec(
             nxt = int(limits.min()) if limits.size else 0
         if r == s:
             tortoise, pos, s = v, s, 2 * s
+    F = IntPolynomial(coeffs)
+    tail = zip(idx.tolist(), mods.tolist(), limits.tolist(), v.tolist(), tortoise.tolist())
+    for i, m, limit, vi, ti in tail:
+        steps[i], period[i], ends[i] = _first_return(F, m, limit, r, vi, ti, pos, s)
     # a lane that ended on 0 returned to a_0, so its period is r, not r - pos
     zero = ends == 0
     period[zero] = steps[zero]

@@ -5,7 +5,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dyngcd import density_lab
 from dyngcd.orbit_engine import (
     INF,
     CacheMismatchError,
@@ -349,6 +352,34 @@ def test_union_density_inclusion_exclusion():
     assert _union_density([(0, 2), (0, 3)]) == Fraction(2, 3)
     assert _union_density([]) == 0
     assert _union_density([(1, 2), (0, 2)]) == 1
+
+
+# moduli up to 40 that divide 55440, so one period of their lcm is short
+# enough to count; a small pool makes repeated moduli and incompatible pairs
+# (such as 1 mod 4 and 0 mod 6) common
+UNION_MODULI = [m for m in range(1, 41) if 55440 % m == 0]
+residue_classes = st.sampled_from(UNION_MODULI).flatmap(
+    lambda m: st.tuples(st.integers(0, m - 1), st.just(m))
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(progs=st.lists(residue_classes, max_size=7))
+def test_union_density_matches_count_over_one_period(progs):
+    period = math.lcm(*(m for _, m in progs))
+    hit = sum(any(n % m == r for r, m in progs) for n in range(period))
+    assert _union_density(progs) == Fraction(hit, period)
+
+
+def test_union_density_over_budget_falls_back_to_marked_density(monkeypatch):
+    monkeypatch.setattr(density_lab, "_UNION_NODE_MAX", 2)
+    assert _union_density([(0, 2), (0, 3), (0, 5)]) is None
+    q = GcdQuery(F, 1, linear=(2, 1))
+    # two classes and their intersection: three nodes
+    hd = small_prime_hit_density(q, 13, 2000)
+    assert hd.exact is None and len(hd.progressions) == 2
+    rep = linear_coprime_report(q, 2000, (13,))
+    assert rep.checkpoints[0].hit_exact == hd.marked_density
 
 
 def test_coprime_report():

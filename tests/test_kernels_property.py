@@ -106,14 +106,20 @@ def plain_orbit(F: IntPolynomial, m: int) -> tuple[int, int, list[int]]:
     return first[v], len(orbit) - first[v], orbit
 
 
-def check_first_return(F, m, free, limited, limit):
-    """free is a walk's (r, period, a_r) with room to return; limited is the
-    same walk stopped at limit."""
+def plain_residues(F: IntPolynomial, m: int):
+    """(tail, period, a) with a(n) = a_n mod m for every n >= 0."""
     tail, period, orbit = plain_orbit(F, m)
 
     def a(n):
         return orbit[n] if n < len(orbit) else orbit[tail + (n - tail) % period]
 
+    return tail, period, a
+
+
+def check_first_return(F, m, free, limited, limit):
+    """free is a walk's (r, period, a_r) with room to return; limited is the
+    same walk stopped at limit."""
+    tail, period, a = plain_residues(F, m)
     r, got_period, v = free
     assert got_period == period and v == a(r) and r >= tail + period
     # period == r exactly when 0 = a_0 is on the cycle, and r is then its
@@ -138,9 +144,29 @@ def test_first_return_matches_plain_walk(F, m, data):
     check_first_return(F, m, free, _first_return(F, m, limit), limit)
 
 
+def lane_lists(elements):
+    """Lists of 1 to 60 lanes, so that a walk has both lockstep rounds (more
+    than _TAIL_LANES live lanes) and lanes that finish in the scalar tail."""
+    return st.integers(1, 60).flatmap(lambda n: st.lists(elements, min_size=n, max_size=n))
+
+
 @PROPS
-@given(F=polys(VEC_COEFF), mods=st.lists(st.integers(1, 3000), min_size=1, max_size=20),
-       data=st.data())
+@given(F=polys(ANY_COEFF), m=st.integers(1, 3000), data=st.data())
+def test_first_return_resumes_mid_walk(F, m, data):
+    free = _first_return(F, m, 3 * m)
+    limit = data.draw(limits_around(free[0]))
+    a = plain_residues(F, m)[2]
+    # after step j < r the tortoise waits at a_pos, pos the last power of two
+    # passed (0 at first), and moves next at step s = 2 pos (1 at first)
+    j = data.draw(st.integers(0, min(free[0], limit) - 1))
+    s = 1 << j.bit_length()
+    pos = s >> 1
+    resumed = _first_return(F, m, limit, j, a(j), a(pos), pos, s)
+    assert resumed == _first_return(F, m, limit)
+
+
+@PROPS
+@given(F=polys(VEC_COEFF), mods=lane_lists(st.integers(1, 3000)), data=st.data())
 def test_first_return_vec_matches_plain_walk(F, mods, data):
     m = np.array(mods, dtype=np.int64)
     free = np.stack(_first_return_vec(F.coeffs, m, 3 * m), axis=1).tolist()
@@ -172,7 +198,7 @@ def test_ord_direct_capped_matches_plain_iteration(F, n, data):
 @PROPS
 @given(
     F=polys(VEC_COEFF),
-    lanes=st.lists(st.tuples(st.integers(2, 2000), st.integers(0, 4000)), min_size=1, max_size=25),
+    lanes=lane_lists(st.tuples(st.integers(2, 2000), st.integers(0, 4000))),
 )
 def test_first_zero_scan_matches_plain_iteration(F, lanes):
     mods = [m for m, _ in lanes]

@@ -10,6 +10,7 @@ from dyngcd.orbit_engine import (
     OrdCache,
     ParseError,
     PreperiodicOrbitError,
+    _a_mod_vec,
     a_mod,
     a_value,
     classify_orbit,
@@ -180,6 +181,15 @@ def test_first_zero_scan_matches_scalar():
     for m, r in zip(mods.tolist(), found.tolist()):
         direct = ord_direct_capped(F, m, m)
         assert (r if r else INF) == direct
+
+
+def test_a_mod_vec_matches_scalar_through_the_tail():
+    # the oracle's lanes for x^2+x+1: most return within 500 steps, and the
+    # last few (1024 and 2048 among them) finish in the scalar tail
+    G = parse_polynomial("x^2+x+1")
+    mods = np.arange(1, 3001, dtype=np.int64)
+    got = _a_mod_vec(G.coeffs, mods, mods).tolist()
+    assert got == [a_mod(G, m, m) for m in range(1, 3001)]
 
 
 def test_first_zero_scan_respects_caps():

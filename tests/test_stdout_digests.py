@@ -21,7 +21,10 @@ COMMANDS = [
     "verify --poly x^2+x+1 --bound 90",
     "verify --poly x^3+x^2+1 --bound 90",
     "density --poly x^2+1 --k 5 --x 8000 --method both --format json",
+    "density --poly x^2+x+1 --k 3 --x 8000 --method both --format json",
+    "density --poly x^3+x^2+1 --k 3 --x 8000 --method both --format json",
     "coprime --poly x^2+1 --a 2 --b 13 --x 5000 --format json",
+    "coprime --poly x^2+1 --a 2 --b 1 --x 5000 --format json",
 ]
 
 
