@@ -44,7 +44,7 @@ _EXPORTS = {
         ),
         "density_lab",
     ),
-    **dict.fromkeys(("SuiteResult", "run_all", "run_suites"), "verify"),
+    **dict.fromkeys(("SuiteResult", "run_suites"), "verify"),
 }
 
 __all__ = list(_EXPORTS)

@@ -1,5 +1,7 @@
-"""Small integer arithmetic used everywhere else: sieves, factoring, lcm with
-an explicit overflow signal, and a general CRT pair solver.
+"""Small integer arithmetic used everywhere else: sieves, factoring and a
+general CRT pair solver.  lcm_checked, an lcm refused past 64 bits, is
+called by nothing in the package any more: it remains only as the hook the
+benchmark tracer (perfbench/tracer.py) binds by name.
 
 Everything here is deterministic and exact.  Factoring divides out the factors
 below 1000, then splits what is left with Pollard's rho in Brent's variant
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 U64_MAX = 2**64 - 1
 # Moduli accepted by the orbit routines.  Kept below 2**62 so a product of two
 # reduced residues always fits double-width arithmetic; Python ints would not
-# overflow anyway, but the bound is part of the API contract.
+# wrap anyway, but the bound is part of the API contract.
 MODULUS_MAX = 2**62
 
 

@@ -83,11 +83,11 @@ def cmd_classify(ns) -> int:
 def cmd_ord(ns) -> int:
     F = parse_polynomial(ns.poly)
     require_wandering(F)
+    if min(ns.n) < 1:  # before the first line, so that a refused n leaves stdout empty
+        raise ValueError("n must be >= 1")
     cache = _load_cache(ns, F)
     for n in ns.n:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        r = ord_crt(F, n, cache)  # r <= n: no lcm overflow for n below 2^64
+        r = ord_crt(F, n, cache)
         le = INF if r == INF else math.lcm(n, int(r))
         print(f"n={n} ord={_fmt_rank(r)} ell={_fmt_rank(le)}")
     _save_cache(ns, cache)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith_core import crt_pair, factorize, lcm_checked
+from .arith_core import crt_pair, factorize
 from .orbit_engine import (
     INF,
     IntPolynomial,
@@ -213,12 +213,9 @@ def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
     is a prefix count of the sieve at x: alive[m] stands for n = m * ell(k),
     and the count at cx reads alive[: cx // ell(k) + 1]."""
     F, k, cache = q.F, q.k, q.cache
-    if ord_crt(F, k, cache) == INF:
-        return [(0, 0)] * len(cuts)
     lk = ell(F, k, cache)
     if lk == INF or lk > x:
         return [(0, 0)] * len(cuts)
-    lk = int(lk)
     M = x // lk
     scan = scan_primes(F, 2, x, sieve_bound=x)
     lp = scan.ell
@@ -289,33 +286,22 @@ def _squarefree_walk(
     the primes of pool, depth first with the primes taken in ascending order.
 
     pool holds (p, r) pairs ascending in p, where r is the rank p brings into
-    ord(d*k) = lcm(ord(k), r for p | d), and rk = ord(k).  An lcm beyond 64
-    bits is noted on q's cache and its term is skipped.  A finite ell_max
-    ends a branch at its first ell(d*k) > ell_max (or overflow): ell only
-    grows as d picks up more primes.
+    ord(d*k) = lcm(ord(k), r for p | d), and rk = ord(k).  Every ell(d*k) is
+    an exact Python int.  A finite ell_max ends a branch at its first
+    ell(d*k) > ell_max: ell only grows as d picks up more primes.
     """
-    k, cache = q.k, q.cache
+    k = q.k
 
     def walk(i: int, d: int, ord_d: int, mu: int):
-        ord_dk = lcm_checked(ord_d, rk)
-        ld = lcm_checked(d * k, ord_dk) if ord_dk is not None else None
-        if ld is None:
-            cache.note_overflow(d * k)
-            if ell_max != INF:
-                return
-        elif ld > ell_max:
+        ld = math.lcm(d * k, ord_d, rk)
+        if ld > ell_max:
             return
-        else:
-            yield d, mu, ld
+        yield d, mu, ld
         for j in range(i, len(pool)):
             p, r = pool[j]
             if d * p > d_max:
                 break
-            o2 = lcm_checked(ord_d, r)
-            if o2 is None:
-                cache.note_overflow(d * p)
-                continue
-            yield from walk(j + 1, d * p, o2, -mu)
+            yield from walk(j + 1, d * p, math.lcm(ord_d, r), -mu)
 
     return walk(0, 1, 1, 1)
 
@@ -334,14 +320,11 @@ def floor_identity_B(q: GcdQuery, x: int) -> int:
         raise ValueError("x must be >= 1")
     F, k, cache = q.F, q.k, q.cache
     rk = ord_crt(F, k, cache)
-    if rk == INF:
-        return 0
-    lk = ell(F, k, cache)
-    if lk == INF or lk > x:
+    if rk == INF or math.lcm(k, rk) > x:
         return 0
     pool = _pretty_prime_pool(q, scan_primes(F, 2, x, sieve_bound=x), coprime_to=k)
     pool = [(p, r) for p, r in pool if math.lcm(p, r) <= x]  # ell(p) <= x
-    walk = _squarefree_walk(q, pool, int(rk), x, ell_max=x)
+    walk = _squarefree_walk(q, pool, rk, x, ell_max=x)
     return sum(mu * (x // ld) for _, mu, ld in walk)
 
 
@@ -379,7 +362,7 @@ def _series(q: GcdQuery, T: int, of_A: bool, scan_top: int | None) -> SeriesTrun
     total = 0.0
     block = 0.0
     half = T // 2
-    for d, mu, ld in _squarefree_walk(q, pool, int(rk), T):
+    for d, mu, ld in _squarefree_walk(q, pool, rk, T):
         total += mu / ld
         if d > half:
             block += 1.0 / ld
@@ -461,6 +444,19 @@ class NonemptyVerdict:
 _WITNESS_CHECK_MAX = 10**6
 
 
+def _ell_factored(q: GcdQuery) -> tuple[int, dict[int, int]] | None:
+    """ell(k) with its factorization {p: e}, or None when k is not pretty.
+    The factors come from those of k and of ord(k) <= k, which stay inside
+    factorize's range even where ell(k) = lcm(k, ord(k)) does not."""
+    rk = ord_crt(q.F, q.k, q.cache)
+    if rk == INF:
+        return None
+    factors = dict(factorize(rk).factors)
+    for p, e in factorize(q.k).factors:
+        factors[p] = max(e, factors.get(p, 0))
+    return math.lcm(q.k, rk), factors
+
+
 def b_nonempty(q: GcdQuery) -> NonemptyVerdict:
     """Whether B(k) has any element at all: k must be pretty, and no prime p
     outside k may have ell(p) | ell(k).  Only primes dividing ell(k) can
@@ -468,21 +464,19 @@ def b_nonempty(q: GcdQuery) -> NonemptyVerdict:
     is a member."""
     q._identity_only("b_nonempty")
     F, k, cache = q.F, q.k, q.cache
-    if ord_crt(F, k, cache) == INF:
+    lf = _ell_factored(q)
+    if lf is None:
         return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
-    lk = ell(F, k, cache)
-    if lk == INF:
-        return NonemptyVerdict(False, None, f"ell({k}) exceeds the analysis range")
-    lk = int(lk)
-    for p in factorize(lk).prime_set():
+    lk, factors = lf
+    for p in factors:
         if k % p == 0:
             continue
         lp = ell(F, p, cache)
-        if lp != INF and lk % int(lp) == 0:
+        if lp != INF and lk % lp == 0:
             return NonemptyVerdict(
                 False,
                 None,
-                f"prime {p} outside k has ell({p})={int(lp)} dividing ell({k})={lk}",
+                f"prime {p} outside k has ell({p})={lp} dividing ell({k})={lk}",
             )
     if lk <= _WITNESS_CHECK_MAX and not membership(q, lk).in_B:
         raise SelfCheckError(f"witness {lk} failed the direct B membership check")
@@ -498,17 +492,15 @@ def a_nonempty(q: GcdQuery) -> NonemptyVerdict:
     power e <= f with ord(p^e) | ell(k)."""
     q._identity_only("a_nonempty")
     F, k, cache = q.F, q.k, q.cache
-    if ord_crt(F, k, cache) == INF:
+    lf = _ell_factored(q)
+    if lf is None:
         return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
-    lk = ell(F, k, cache)
-    if lk == INF:
-        return NonemptyVerdict(False, None, f"ell({k}) exceeds the analysis range")
-    lk = int(lk)
+    lk, factors = lf
     g = 1
-    for p, f in factorize(lk).factors:
+    for p, f in factors.items():
         for e in range(1, f + 1):
             r = cache.rank_of(F, p**e)
-            if r == INF or lk % int(r):
+            if r == INF or lk % r:
                 break
             g *= p
     if lk <= _WITNESS_CHECK_MAX:
@@ -549,14 +541,10 @@ def build_Lk(q: GcdQuery, bound: int) -> tuple[LkSet, float]:
     lk = ell(F, k, cache)
     if lk == INF:
         raise ValueError("avoidance set needs pretty k")
-    lk = int(lk)
     prime_elements = tuple(p for p in factorize(k).prime_set() if p <= bound)
     ratio_sources: dict[int, int] = {}
     for p, op in _pretty_prime_pool(q, scan_primes(F, 2, bound), coprime_to=k):
-        lkp = ell(F, p * k, cache)
-        if lkp == INF:
-            continue
-        r = int(lkp) // lk
+        r = ell(F, p * k, cache) // lk  # finite: p and k are pretty and coprime
         if r <= bound and r not in ratio_sources:
             ratio_sources[r] = p
     elements = tuple(sorted(set(prime_elements) | set(ratio_sources)))
@@ -589,7 +577,7 @@ def y_k_lower_bound(q: GcdQuery, x: int) -> int:
     lset, _ = build_Lk(q, x)
     if 1 in lset.elements:
         return 0
-    M = x // int(lk)
+    M = x // lk
     return non_multiples_count([s for s in lset.elements if s <= M], M)
 
 
@@ -837,11 +825,6 @@ def build_density_report(
         raise ValueError("x must be >= 1")
     if T < 1:
         raise ValueError("T must be >= 1")
-    # work through a cache that shares q's ranks but logs its own overflows,
-    # so the flags name only what this report hit, not what earlier queries
-    # on the same cache did (note_overflow drops repeats)
-    shared = q.cache
-    q = replace(q, cache=OrdCache(shared.poly_key, shared.ranks))
     flags: list[str] = []
     # rank k first, so that the oracle route refuses a k past 2^62 as the
     # sieve route does, before numpy meets it
@@ -871,12 +854,6 @@ def build_density_report(
         flags.append(
             "A is empty but its series truncation exceeds the last-block gauge"
         )
-    if q.cache.overflow_events:
-        flags.append(
-            "lcm overflow on moduli: " + ",".join(str(m) for m in q.cache.overflow_events)
-        )
-    for m in q.cache.overflow_events:
-        shared.note_overflow(m)
     return DensityReport(
         poly=q.F.coeff_key(),
         k=q.k,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith_core import MODULUS_MAX, factorize, lcm_checked
+from .arith_core import MODULUS_MAX, factorize
 
 INF = math.inf
 
@@ -439,7 +439,6 @@ class OrdCache:
 
     poly_key: str
     ranks: dict[int, int | float] = field(default_factory=dict)
-    overflow_events: list[int] = field(default_factory=list)
 
     @classmethod
     def for_poly(cls, F: IntPolynomial) -> "OrdCache":
@@ -465,10 +464,6 @@ class OrdCache:
             r = ord_direct(F, n)
             self.ranks[n] = r
         return r
-
-    def note_overflow(self, n: int) -> None:
-        if n not in self.overflow_events:
-            self.overflow_events.append(n)
 
     def save(self, path) -> None:
         """Write the CSV to a temporary file beside path, then move it over
@@ -538,10 +533,8 @@ def ord_crt(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | fl
     """Rank of apparition of n composed from its prime powers:
     ord(n) = lcm of ord(p^e) over p^e || n, infinite as soon as one factor is.
     p is ranked before p^e: ord(p) | ord(p^e), so an infinite ord(p) settles
-    the answer without walking the much longer orbit mod p^e.
-
-    An lcm that leaves the 64-bit range is treated as infinite for analysis
-    purposes and recorded on the cache as an overflow event.
+    the answer without walking the much longer orbit mod p^e.  A finite
+    ord(n) is exact and at most n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -556,26 +549,16 @@ def ord_crt(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | fl
         r = cache.rank_of(F, p**e)
         if r == INF:
             return INF
-        acc2 = lcm_checked(acc, int(r))
-        if acc2 is None:
-            cache.note_overflow(n)
-            return INF
-        acc = acc2
+        acc = math.lcm(acc, r)
     return acc
 
 
 def ell(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | float:
     """ell(n) = lcm(n, ord(n)): the exact period of indices r with
-    n | gcd(r, a_r).  Infinite when n is not pretty or on lcm overflow."""
+    n | gcd(r, a_r).  It is a Python int however large, and infinite
+    exactly when n is not pretty."""
     r = ord_crt(F, n, cache)
-    if r == INF:
-        return INF
-    v = lcm_checked(n, int(r))
-    if v is None:
-        if cache is not None:
-            cache.note_overflow(n)
-        return INF
-    return v
+    return INF if r == INF else math.lcm(n, r)
 
 
 class Valuation(NamedTuple):

@@ -421,10 +421,3 @@ def run_suites(F: IntPolynomial, bound: int = 300) -> list[SuiteResult]:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(SuiteResult(name, str(F), ok, detail))
     return results
-
-
-def run_all(polys=None, bound: int = 300) -> list[SuiteResult]:
-    out = []
-    for F in polys or DEFAULT_POLYS:
-        out.extend(run_suites(F, bound))
-    return out

@@ -32,7 +32,7 @@ from dyngcd.density_lab import (
     series_density_A,
     small_prime_hit_density,
 )
-from dyngcd.verify import run_all
+from dyngcd.verify import DEFAULT_POLYS, run_suites
 
 F1 = parse_polynomial("x^2+1")
 F2 = parse_polynomial("x^2+x+1")
@@ -85,7 +85,7 @@ def test_acceptance_03_frozen_count_anchors():
 
 def test_acceptance_04_invariant_suites():
     t0 = time.time()
-    results = run_all(bound=300)
+    results = [r for G in DEFAULT_POLYS for r in run_suites(G, 300)]
     dt = time.time() - t0
     fails = [(r.name, r.poly) for r in results if not r.ok]
     _line(4, not fails and dt < 120,

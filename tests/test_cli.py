@@ -33,6 +33,15 @@ def test_ord_prints_exact_ell_past_64_bits(capsys):
     assert out == "n=218637583794517469 ord=8940409218 ell=1954709469557751397709629242\n"
 
 
+def test_density_witness_past_64_bits(capsys):
+    # ell(a_8) = 4 * a_8 is past 64 bits for x^2+1, and lies in A and in B
+    rc, out, _ = run(capsys, "density", "--poly", "x^2+1",
+                     "--k", "44127887745906175987802", "--x", "1000")
+    assert rc == 0
+    assert "nonempty_A True  nonempty_B True  witness 176511550983624703951208\n" in out
+    assert "flag:" not in out
+
+
 def test_ord_factorizes_each_modulus_once(capsys, monkeypatch):
     from dyngcd import orbit_engine
 
@@ -252,6 +261,8 @@ def test_verify_refuses_preperiodic_poly_before_any_suite(capsys, poly_args):
          "factorize limited to n below 318665857834031151167461"),
         ("density --poly x^2+1 --k 9223372036854775808 --x 100 --method oracle",
          "modulus 9223372036854775808 exceeds the 2^62 bound"),
+        # every --n is checked before the first line
+        ("ord --poly x^2+1 --n 13 --n 0", "n must be >= 1"),
     ],
 )
 def test_nonpositive_x_or_T_exit_code(capsys, command, message):

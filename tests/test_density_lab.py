@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyngcd import density_lab
+from dyngcd.arith_core import factorize
 from dyngcd.orbit_engine import (
     INF,
     CacheMismatchError,
@@ -16,6 +17,8 @@ from dyngcd.orbit_engine import (
     PreperiodicOrbitError,
     a_mod,
     ell,
+    nu_p_of_a,
+    ord_crt,
     parse_polynomial,
 )
 from dyngcd.density_lab import (
@@ -111,17 +114,39 @@ def test_shared_cache_matches_fresh_queries():
         assert shared.ranks
 
 
-def test_report_flags_only_its_own_overflows():
-    # ell(3107672507741) is about 1.2 * 10^16, and 18 lcms of its walk leave
-    # 64 bits; the report for k=5 hits none of them
-    big = 3107672507741
-    shared = OrdCache.for_poly(F)
-    reports = [build_density_report(GcdQuery(F, k, cache=shared), 500, method="sieve")
-               for k in (big, 5, big)]
-    fresh = [build_density_report(GcdQuery(F, k), 500, method="sieve") for k in (big, 5)]
-    assert fresh[0].flags and not fresh[1].flags
-    assert [r.flags for r in reports] == [fresh[0].flags, fresh[1].flags, fresh[0].flags]
-    assert len(shared.overflow_events) == 18  # the cache still logs them once
+def _squarefree_mu(t: int) -> int:
+    mu = 1
+    for _, e in factorize(t).factors:
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
+
+
+def test_report_series_keep_every_term_past_64_bits():
+    # ell(3107672507741) is about 1.2 * 10^16, and 18 terms of its T = 500
+    # walk have an ell(t*k) past 64 bits; every one of them still counts
+    k = 3107672507741
+    cache = OrdCache.for_poly(F)
+    rep = build_density_report(GcdQuery(F, k, cache=cache), 500, method="sieve")
+    assert rep.flags == []
+    sum_b = sum_a = block = Fraction(0)
+    for t in range(1, 501):
+        mu = _squarefree_mu(t)
+        r = ord_crt(F, t * k, cache) if mu else INF
+        if r == INF:
+            continue
+        term = Fraction(mu, math.lcm(t * k, r))
+        sum_a += term
+        if math.gcd(t, k) == 1:
+            sum_b += term
+            if t > 250:
+                block += abs(term)
+    sb, sa = rep.series[0], rep.series_A[0]
+    assert sb.T == sa.T == 500
+    assert math.isclose(sb.value, float(sum_b), rel_tol=1e-12)
+    assert math.isclose(sa.value, float(sum_a), rel_tol=1e-12)
+    assert math.isclose(sb.last_block, float(block), rel_tol=1e-12)
 
 
 def test_query_cache_follows_replace_and_stays_out_of_eq():
@@ -276,6 +301,33 @@ def test_a_nonempty_gcd_from_ranks_matches_the_orbit():
             assert g == math.gcd(lk, a_mod(G, lk, lk)), (str(G), k)
             checked += 1
     assert checked >= 40
+
+
+A8 = 44127887745906175987802  # a_8 for x^2+1
+
+
+@pytest.mark.parametrize("k, witness", [
+    (A8, 4 * A8),
+    # ell(5 * a_8) = 12 * 5 * a_8 is past factorize's 3.18 * 10^23 limit
+    (5 * A8, 2647673264754370559268120),
+])
+def test_nonempty_witness_past_64_bits_is_exact(k, witness):
+    q = GcdQuery(F, k)
+    nb, na = b_nonempty(q), a_nonempty(q)
+    assert nb.holds and nb.witness == witness
+    assert na.holds and na.witness == witness
+    assert witness == ell(F, k, q.cache)
+    # gcd(witness, a_witness) as the product of p^v over the primes of the
+    # witness, with v = nu_p(a_witness) capped at nu_p(witness)
+    primes = set(factorize(A8).prime_set()) | {2, 3, 5}
+    g = 1
+    for p in primes:
+        e = 0
+        while witness % p ** (e + 1) == 0:
+            e += 1
+        if e:
+            g *= p ** nu_p_of_a(F, witness, p, e).value
+    assert g == k
 
 
 # ---------------------------------------------------------------------------
