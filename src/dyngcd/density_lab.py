@@ -20,11 +20,12 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith_core import crt_pair, factorize
+from .arith_core import MODULUS_MAX, crt_pair, factorize
 from .orbit_engine import (
     INF,
     IntPolynomial,
@@ -188,7 +189,7 @@ def _rank_above(q: GcdQuery, p: int, e: int) -> int | float:
     """ord(p^(e+1)), INF when that modulus is out of range (then p^(e+1)
     never divides an orbit term the analysis can reach)."""
     pe1 = p ** (e + 1)
-    return INF if pe1 > 2**62 else q.cache.rank_of(q.F, pe1)
+    return INF if pe1 > MODULUS_MAX else q.cache.rank_of(q.F, pe1)
 
 
 def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
@@ -275,35 +276,64 @@ def _pretty_prime_pool(
     return pool
 
 
-def _squarefree_walk(
-    q: GcdQuery,
-    pool: list[tuple[int, int]],
-    rk: int,
-    d_max: int,
-    ell_max: int | float = INF,
-):
-    """Yield (d, mu(d), ell(d*k)) for every squarefree d <= d_max built from
-    the primes of pool, depth first with the primes taken in ascending order.
+def _hit_classes(q: GcdQuery, scan, coprime_to: int = 1) -> list[tuple[int, int, int]]:
+    """(p, r, m) for every pretty prime p of a scan_primes result that can
+    divide gcd(G(n), a_n), leaving out the primes dividing coprime_to: p
+    divides it exactly when n = r (mod m), the CRT of G(n) = 0 (mod p) with
+    ord(p) | n.  G(x) = x is the form (1, 0), whose class is 0 mod ell(p).
+    A prime drops out when p | a (p never divides a*n+b) or when the two
+    congruences do not meet (p | a_n forces p | n, against p | a*n+b)."""
+    a, b = q.linear or (1, 0)
+    pool = []
+    for p, op in _pretty_prime_pool(q, scan, coprime_to):
+        if a % p:
+            sol = crt_pair(-b * pow(a, -1, p) % p, p, 0, op)
+            if sol is not None:
+                pool.append((p, *sol))
+    return pool
 
-    pool holds (p, r) pairs ascending in p, where r is the rank p brings into
-    ord(d*k) = lcm(ord(k), r for p | d), and rk = ord(k).  Every ell(d*k) is
-    an exact Python int.  A finite ell_max ends a branch at its first
-    ell(d*k) > ell_max: ell only grows as d picks up more primes.
+
+def _class_walk(pool, base: tuple[int, int], d_max, m_max):
+    """Yield (d, mu(d), r, m) for every subset of pool whose classes meet
+    the base class, depth first in preorder: the empty subset first, then
+    the subsets in lexicographic order of their pool indices.
+
+    pool holds classes (p, r, m), meaning n = r (mod m) with 0 <= r < m,
+    ascending in p; d is the product of the subset's p, and n = r (mod m)
+    is the intersection of its classes with the base class.  A branch ends
+    where the classes do not meet, where d > d_max or where m > m_max:
+    along a branch d and m only grow.  The CRT is inlined and each node
+    pushes one frame, since the union walk runs this at every node.
     """
-    k = q.k
-
-    def walk(i: int, d: int, ord_d: int, mu: int):
-        ld = math.lcm(d * k, ord_d, rk)
-        if ld > ell_max:
-            return
-        yield d, mu, ld
-        for j in range(i, len(pool)):
-            p, r = pool[j]
+    r, m = base
+    yield 1, 1, r, m
+    stack = []  # (next pool index, d, mu, r, m) of the ancestors to resume
+    i, d, mu = 0, 1, 1
+    n = len(pool)
+    while True:
+        descended = False
+        for j in range(i, n):
+            p, rp, mp = pool[j]
             if d * p > d_max:
-                break
-            yield from walk(j + 1, d * p, math.lcm(ord_d, r), -mu)
-
-    return walk(0, 1, 1, 1)
+                break  # and so for every later p
+            g = math.gcd(m, mp)
+            if (rp - r) % g:
+                continue
+            mg = mp // g
+            mm = m * mg
+            if mm > m_max:
+                continue
+            stack.append((j + 1, d, mu, r, m))
+            # r + m*t < mm for 0 <= t < mg, so r stays reduced
+            r, m = r + m * ((rp - r) // g * pow(m // g, -1, mg) % mg), mm
+            i, d, mu = j + 1, d * p, -mu
+            yield d, mu, r, m
+            descended = True
+            break
+        if not descended:
+            if not stack:
+                return
+            i, d, mu, r, m = stack.pop()
 
 
 def floor_identity_B(q: GcdQuery, x: int) -> int:
@@ -311,21 +341,20 @@ def floor_identity_B(q: GcdQuery, x: int) -> int:
 
         sum mu(d) * floor(x / ell(d*k))
 
-    Terms with ell(d*k) > x vanish, and ell is monotone in d, so the sum is a
-    pruned walk over products of pretty primes with ell(p) <= x.  This equals
-    the sieve and oracle counts exactly, not asymptotically.
+    Terms with ell(d*k) > x vanish, and ell only grows with d, so the sum is
+    a pruned walk over the classes 0 mod ell(p) of the pretty primes with
+    ell(p) <= x, from the base class 0 mod ell(k).  This equals the sieve and
+    oracle counts exactly, not asymptotically.
     """
     q._identity_only("floor_identity_B")
     if x < 1:
         raise ValueError("x must be >= 1")
-    F, k, cache = q.F, q.k, q.cache
-    rk = ord_crt(F, k, cache)
-    if rk == INF or math.lcm(k, rk) > x:
+    lk = ell(q.F, q.k, q.cache)
+    if lk == INF or lk > x:
         return 0
-    pool = _pretty_prime_pool(q, scan_primes(F, 2, x, sieve_bound=x), coprime_to=k)
-    pool = [(p, r) for p, r in pool if math.lcm(p, r) <= x]  # ell(p) <= x
-    walk = _squarefree_walk(q, pool, rk, x, ell_max=x)
-    return sum(mu * (x // ld) for _, mu, ld in walk)
+    pool = _hit_classes(q, scan_primes(q.F, 2, x, sieve_bound=x), coprime_to=q.k)
+    pool = [c for c in pool if c[2] <= x]
+    return sum(mu * (x // m) for _, mu, _, m in _class_walk(pool, (0, lk), x, x))
 
 
 @dataclass(frozen=True)
@@ -335,54 +364,50 @@ class SeriesTruncation:
     last_block: float
 
 
-def _series(q: GcdQuery, T: int, of_A: bool, scan_top: int | None) -> SeriesTruncation:
-    """sum mu(d) / ell(d*k) over the squarefree d <= T of the walk, summed in
-    its order, for B(k) or (of_A) for A(k); last_block sums 1/ell(d*k) over
-    T/2 < d <= T.  The primes come from the rows p <= T of the exact scan up
-    to scan_top >= T (default T), which are the exact scan up to T."""
+def _series(q: GcdQuery, ts, of_A: bool) -> list[SeriesTruncation]:
+    """sum mu(d) / ell(d*k) over the squarefree d <= t of the walk, summed in
+    its order, for B(k) or (of_A) for A(k), at every t in ts (ascending);
+    last_block sums 1/ell(d*k) over t/2 < d <= t.  One walk to T = max(ts)
+    serves every t: it visits the nodes with d <= t in the order of a walk
+    to t, and the exact scan up to T holds the one up to t."""
     q._identity_only("series_density_A" if of_A else "series_density_B")
-    if T < 1:
+    if ts[0] < 1:
         raise ValueError("T must be >= 1")
-    if scan_top is None:
-        scan_top = T
-    if scan_top < T:
-        raise ValueError("scan_top must be >= T")
-    F, k = q.F, q.k
-    rk = ord_crt(F, k, q.cache)
-    if rk == INF:
-        return SeriesTruncation(T, 0.0, 0.0)
-    pool = _pretty_prime_pool(q, scan_primes(F, 2, scan_top).upto(T), coprime_to=k)
+    T = ts[-1]
+    lk = ell(q.F, q.k, q.cache)
+    if lk == INF:
+        return [SeriesTruncation(t, 0.0, 0.0) for t in ts]
+    pool = _hit_classes(q, scan_primes(q.F, 2, T), coprime_to=q.k)
     if of_A:
-        for p, e in factorize(k).factors:
+        for p, e in factorize(q.k).factors:
             if p <= T:
                 r = _rank_above(q, p, e)
                 if r != INF:
-                    pool.append((p, int(r)))
+                    pool.append((p, 0, math.lcm(p ** (e + 1), r)))
         pool.sort()
-    total = 0.0
-    block = 0.0
-    half = T // 2
-    for d, mu, ld in _squarefree_walk(q, pool, rk, T):
-        total += mu / ld
-        if d > half:
-            block += 1.0 / ld
-    return SeriesTruncation(T, total, block)
+    totals = [0.0] * len(ts)
+    blocks = [0.0] * len(ts)
+    for d, mu, _, m in _class_walk(pool, (0, lk), T, INF):
+        for i, t in enumerate(ts):
+            if d <= t:
+                totals[i] += mu / m
+                if d > t // 2:
+                    blocks[i] += 1.0 / m
+    return [SeriesTruncation(*row) for row in zip(ts, totals, blocks)]
 
 
-def series_density_B(q: GcdQuery, T: int, scan_top: int | None = None) -> SeriesTruncation:
+def series_density_B(q: GcdQuery, T: int) -> SeriesTruncation:
     """Truncation at T of the density series for B(k):
 
         sum over squarefree d <= T coprime to k of mu(d) / ell(d*k).
 
     Only pretty d contribute (infinite ell kills the term).  last_block is
     the absolute tail sum over T/2 < d <= T, the reported convergence gauge.
-    A scan_top >= T reads the primes off the exact scan up to scan_top, so
-    that truncations at several T share one scan; the value is the same.
     """
-    return _series(q, T, False, scan_top)
+    return _series(q, [T], False)[0]
 
 
-def series_density_A(q: GcdQuery, T: int, scan_top: int | None = None) -> SeriesTruncation:
+def series_density_A(q: GcdQuery, T: int) -> SeriesTruncation:
     """Truncation at T of the density series for A(k):
 
         sum over all squarefree t <= T of mu(t) / ell(t*k),
@@ -393,40 +418,32 @@ def series_density_A(q: GcdQuery, T: int, scan_top: int | None = None) -> Series
     For squarefree t, ord(t*k) is the lcm of ord(k), of ord(p^(v_p(k)+1))
     over the primes p of t dividing k and of ord(p) over the other primes of
     t, since ord(p^e) divides ord(p^(e+1)).  So this is the walk of the B
-    series with each prime of k admitted at rank ord(p^(v_p(k)+1)), and left
-    out when that rank is infinite.  scan_top is as in series_density_B.
+    series with each prime p of k admitted as the class 0 mod
+    ell(p^(v_p(k)+1)), and left out when that rank is infinite.
     """
-    return _series(q, T, True, scan_top)
+    return _series(q, [T], True)[0]
 
 
 def series_checkpoints(
     q: GcdQuery, T: int
 ) -> tuple[list[SeriesTruncation], list[SeriesTruncation]]:
-    """The B and the A truncations at T/4, T/2 and T (those >= 1), all read
-    off one exact scan up to T."""
+    """The B and the A truncations at T/4, T/2 and T (those >= 1), read off
+    one walk each over one exact scan up to T."""
     if T < 1:
         raise ValueError("T must be >= 1")
     ts = sorted(set(t for t in (T // 4, T // 2, T) if t >= 1))
-    series_b = [series_density_B(q, t, scan_top=T) for t in ts]
-    series_a = [series_density_A(q, t, scan_top=T) for t in ts]
-    return series_b, series_a
+    return _series(q, ts, False), _series(q, ts, True)
 
 
 def count_A_inclusion_exclusion(q: GcdQuery, x: int) -> int:
     """#A(x) = sum over squarefree d | k~ of mu(d) * #B(d*k)(x), where k~ is
     the radical of k.  A finite-x consistency route, used by the checks."""
     q._identity_only("count_A_inclusion_exclusion")
-    primes = factorize(q.k).prime_set()
-    total = 0
-    for bits in range(1 << len(primes)):
-        d = 1
-        mu = 1
-        for i, p in enumerate(primes):
-            if bits >> i & 1:
-                d *= p
-                mu = -mu
-        total += mu * count_sieve(replace(q, k=d * q.k), x)[1]
-    return total
+    pool = [(p, 0, 1) for p in factorize(q.k).prime_set()]
+    return sum(
+        mu * count_sieve(replace(q, k=d * q.k), x)[1]
+        for d, mu, _, _ in _class_walk(pool, (0, 1), INF, INF)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +560,8 @@ def build_Lk(q: GcdQuery, bound: int) -> tuple[LkSet, float]:
         raise ValueError("avoidance set needs pretty k")
     prime_elements = tuple(p for p in factorize(k).prime_set() if p <= bound)
     ratio_sources: dict[int, int] = {}
-    for p, op in _pretty_prime_pool(q, scan_primes(F, 2, bound), coprime_to=k):
-        r = ell(F, p * k, cache) // lk  # finite: p and k are pretty and coprime
+    for p, _, m in _hit_classes(q, scan_primes(F, 2, bound), coprime_to=k):
+        r = math.lcm(m, lk) // lk  # ell(p*k) = lcm(ell(p), ell(k)) for p not dividing k
         if r <= bound and r not in ratio_sources:
             ratio_sources[r] = p
     elements = tuple(sorted(set(prime_elements) | set(ratio_sources)))
@@ -608,27 +625,13 @@ class HitDensity:
 _UNION_NODE_MAX = 200_000
 
 
-def _hit_progressions(q: GcdQuery, z: int) -> list[tuple[int, int]]:
-    a, b = q.linear
-    progs = []
-    for p, op in _pretty_prime_pool(q, scan_primes(q.F, 2, z)):
-        if a % p == 0:
-            continue  # a*n+b is never divisible by p
-        rp = (-b * pow(a, -1, p)) % p
-        sol = crt_pair(rp, p, 0, op)
-        if sol is None:
-            continue  # p | a_n forces p | n, incompatible with p | a*n+b
-        progs.append(sol)
-    return progs
-
-
 def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
     """How much of [1, x] is hit by pretty primes up to z (linear form only)."""
     if q.linear is None:
         raise ValueError("hit density is defined for linear forms")
     if z < 2 or x < 1:
         raise ValueError("need z >= 2 and x >= 1")
-    progs = _hit_progressions(q, z)
+    progs = [(r, m) for _, r, m in _hit_classes(q, scan_primes(q.F, 2, z))]
     mask = np.zeros(x + 1, dtype=bool)
     for r, m in progs:
         start = r if r >= 1 else m
@@ -640,30 +643,19 @@ def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
 
 
 def _union_density(progs) -> Fraction | None:
-    """Inclusion-exclusion density of a union of residue classes, walking only
-    the compatible subsets (an incompatible pair kills its whole branch).
-    None if the walk exceeds its node budget.  Every subset's modulus divides
-    the lcm of all the moduli, so the sum is kept as an integer numerator
-    over that lcm."""
+    """Inclusion-exclusion density of a union of residue classes (r, m),
+    walking only the compatible subsets (an incompatible pair kills its
+    whole branch).  None if the walk visits more than _UNION_NODE_MAX
+    nonempty subsets.  Every subset's modulus divides the lcm of all the
+    moduli, so the sum is kept as an integer numerator over that lcm."""
     lcm_all = math.lcm(*(m for _, m in progs))
+    # every class as p = 1: d plays no part in a union
+    walk = _class_walk([(1, r, m) for r, m in progs], (0, 1), INF, INF)
     num = 0
-    nodes = 0
-
-    def walk(i: int, r: int, m: int, sign: int) -> bool:
-        nonlocal num, nodes
-        for j in range(i, len(progs)):
-            sol = crt_pair(r, m, progs[j][0], progs[j][1])
-            if sol is None:
-                continue
-            nodes += 1
-            if nodes > _UNION_NODE_MAX:
-                return False
-            num += sign * (lcm_all // sol[1])
-            if not walk(j + 1, sol[0], sol[1], -sign):
-                return False
-        return True
-
-    if not walk(0, 0, 1, 1):
+    # past the empty subset, the union counts each subset with sign -mu
+    for _, mu, _, m in islice(walk, 1, _UNION_NODE_MAX + 1):
+        num -= mu * (lcm_all // m)
+    if next(walk, None) is not None:
         return None
     return Fraction(num, lcm_all)
 
@@ -828,7 +820,7 @@ def build_density_report(
     flags: list[str] = []
     # rank k first, so that the oracle route refuses a k past 2^62 as the
     # sieve route does, before numpy meets it
-    ord_crt(q.F, q.k, q.cache)
+    rk = ord_crt(q.F, q.k, q.cache)
     cps = sorted(set(cx for cx in (x // 4, x // 2, x) if cx >= 1))
     if method in ("sieve", "both"):
         counts = dict(zip(cps, _sieve_counts(q, x, cps)))
@@ -848,7 +840,7 @@ def build_density_report(
     series_b, series_a = series_checkpoints(q, T)
     nb = b_nonempty(q)
     na = a_nonempty(q)
-    if ord_crt(q.F, q.k, q.cache) == INF:
+    if rk == INF:
         flags.append(f"k={q.k} is not pretty; identity and series are empty sums")
     if not na.holds and series_a and abs(series_a[-1].value) > series_a[-1].last_block:
         flags.append(

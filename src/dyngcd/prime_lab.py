@@ -105,13 +105,6 @@ class PrimeScan:
     def __len__(self) -> int:
         return self.p.size
 
-    def upto(self, p_max: int) -> "PrimeScan":
-        """The rows with p <= p_max.  They are the scan of [p_min, p_max]
-        under the same policy, since no prime's cap depends on the top of
-        the range: a view, no copy."""
-        n = int(np.searchsorted(self.p, p_max, side="right"))
-        return PrimeScan(self.p[:n], self.ord[:n], self.injective[:n])
-
     @property
     def pretty(self) -> np.ndarray:
         """p divides some orbit term (finite rank)."""

@@ -1,7 +1,8 @@
 """Property tests: the rank kernels, the orbit-residue kernels, the
-factorizer and the pruned squarefree walk against plain iteration, plain
+factorizer and the residue-class walk against plain iteration, plain
 trial division and plain loops, on random inputs."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -15,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyngcd
-from dyngcd.arith_core import factorize
+from dyngcd.arith_core import crt_pair, factorize
 from dyngcd.density_lab import (
     GcdQuery,
+    _class_walk,
     _gcd_vector,
     count_oracle,
     floor_identity_B,
+    series_checkpoints,
     series_density_A,
     series_density_B,
 )
@@ -415,8 +418,45 @@ def test_factorize_products_of_known_primes(picks):
 
 
 # ---------------------------------------------------------------------------
-# squarefree walk: floor identity and both density series
+# residue-class walk: floor identity and both density series
 # ---------------------------------------------------------------------------
+
+# moduli up to 40 make repeated moduli and incompatible pairs (such as
+# 1 mod 4 and 0 mod 6) common
+RESIDUE_CLASS = st.integers(1, 40).flatmap(
+    lambda m: st.tuples(st.integers(0, m - 1), st.just(m))
+)
+PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    classes=st.lists(RESIDUE_CLASS, max_size=8),
+    primes=st.lists(st.sampled_from(PRIMES_TO_37), min_size=8, max_size=8, unique=True),
+    base=RESIDUE_CLASS,
+    d_max=st.one_of(st.integers(1, 2000), st.integers(1, 10**12)),
+    m_extra=st.one_of(st.integers(0, 2000), st.integers(0, 10**12)),
+)
+def test_class_walk_lists_compatible_subsets_in_lex_order(classes, primes, base, d_max, m_extra):
+    ps = sorted(primes)[: len(classes)]
+    pool = [(p, r, m) for p, (r, m) in zip(ps, classes)]
+    m_max = base[1] + m_extra  # the walk always yields the base class itself
+    want = []
+    # tuples of ascending indices sort lexicographically, each prefix first
+    subsets = sorted(
+        s for size in range(len(pool) + 1) for s in itertools.combinations(range(len(pool)), size)
+    )
+    for subset in subsets:
+        sol = base
+        for i in subset:
+            sol = crt_pair(*sol, *classes[i])
+            if sol is None:
+                break
+        d = math.prod(ps[i] for i in subset)
+        if sol is not None and d <= d_max and sol[1] <= m_max:
+            want.append((d, (-1) ** len(subset), *sol))
+    assert list(_class_walk(pool, base, d_max, m_max)) == want
+
 
 WANDERING = st.builds(
     lambda low, lead: IntPolynomial(tuple(low) + (lead,)),
@@ -465,6 +505,20 @@ def test_series_match_plain_loop_over_squarefree_t(F, k, T):
         got = fn(q, T)
         want = plain_series(F, k, T, coprime)
         assert close(got.value, want[0]) and close(got.last_block, want[1]), fn.__name__
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(F=WANDERING, k=SMALL_K, T=st.integers(1, 400))
+def test_series_checkpoints_match_one_truncation_at_a_time(F, k, T):
+    # one walk to T against one walk per truncation, bit for bit
+    q = GcdQuery(F, k)
+    series_b, series_a = series_checkpoints(q, T)
+    assert [s.T for s in series_b] == [s.T for s in series_a] == sorted({T // 4, T // 2, T} - {0})
+    for checkpoints, fn in ((series_b, series_density_B), (series_a, series_density_A)):
+        for got in checkpoints:
+            want = fn(q, got.T)
+            assert got.value.hex() == want.value.hex()
+            assert got.last_block.hex() == want.last_block.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ COMMANDS = [
     "density --poly x^2+1 --k 5 --x 8000 --method both --format json",
     "density --poly x^2+x+1 --k 3 --x 8000 --method both --format json",
     "density --poly x^3+x^2+1 --k 3 --x 8000 --method both --format json",
+    # its A series admits 2 and 5, the primes of k, at ord(p^(e+1))
+    "density --poly x^2+1 --k 10 --x 8000 --method both --format json",
     "coprime --poly x^2+1 --a 2 --b 13 --x 5000 --format json",
     "coprime --poly x^2+1 --a 2 --b 1 --x 5000 --format json",
 ]
@@ -42,6 +44,8 @@ SCAN_COMMANDS = [
     "scan --poly x^2+1 --cache scan0.csv --pmin 38500 --pmax 40000",
     "scan --poly x^3+x^2+1 --cache scan2.csv --pmin 38500 --pmax 40000",
     "series --poly x^2+1 --cache scan0.csv --k 1 --T 15400",
+    "series --poly x^2+x+1 --cache scan1.csv --k 1 --T 15400",
+    "series --poly x^3+x^2+1 --cache scan2.csv --k 1 --T 9900",
     "density --poly x^2+1 --k 5 --x 1000000 --method sieve --format json",
     "density --poly x^2+x+1 --k 3 --x 1000000 --method sieve --format json",
 ]
