@@ -185,22 +185,12 @@ def count_oracle(q: GcdQuery, x: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _rank_above(q: GcdQuery, p: int, e: int) -> int | float:
-    """ord(p^(e+1)), INF when that modulus is out of range (then p^(e+1)
-    never divides an orbit term the analysis can reach)."""
-    pe1 = p ** (e + 1)
-    return INF if pe1 > MODULUS_MAX else q.cache.rank_of(q.F, pe1)
-
-
 def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
     """(#A(x), #B(x)) from the rank structure, no per-index orbit work.
 
     B(k) is exactly the multiples of ell(k) that avoid every ell(p) for
-    pretty p not dividing k.  Inside that set, membership in A(k) is decided
-    prime by prime over p | k with e = nu_p(k): either nu_p(n) = e exactly,
-    or nu_p(n) > e while ord(p^(e+1)) does not divide n (so the orbit term
-    contributes no extra factor of p).  ord(p^e) | n holds automatically for
-    multiples of ell(k).
+    pretty p not dividing k.  Inside that set, n leaves A(k) when it lies in
+    the class 0 mod ell(p^(e+1)) of some p^e || k (see _A_classes).
     """
     q._identity_only("count_sieve")
     if x < 1:
@@ -211,39 +201,18 @@ def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
 def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
     """count_sieve at every cut-off cx <= x in cuts, from one bounded scan at
     x.  Whether n is a member does not depend on the cut-off, so each count
-    is a prefix count of the sieve at x: alive[m] stands for n = m * ell(k),
+    is a prefix count of the sieve at x: alive[j] stands for n = j * ell(k),
     and the count at cx reads alive[: cx // ell(k) + 1]."""
-    F, k, cache = q.F, q.k, q.cache
-    lk = ell(F, k, cache)
+    lk = ell(q.F, q.k, q.cache)
     if lk == INF or lk > x:
         return [(0, 0)] * len(cuts)
     M = x // lk
-    scan = scan_primes(F, 2, x, sieve_bound=x)
-    lp = scan.ell
-    # ell(p) is 0 for an infinite rank and -1 for one left unresolved (> x)
-    lp = lp[(lp > 0) & (lp <= x) & _coprime_rows(scan, k)]
-    strides = lp // np.gcd(lp, lk)
-    alive = np.ones(M + 1, dtype=bool)
+    scan = scan_primes(q.F, 2, x, sieve_bound=x)
+    alive = ~_class_sieve(_hit_classes(q, scan, coprime_to=q.k), (0, lk), M)
     alive[0] = False
-    # a set, not np.unique, which would import numpy.ma
-    for s in set(strides[strides <= M].tolist()):
-        alive[s::s] = False
     ends = [cx // lk + 1 for cx in cuts]
     counts_b = [int(np.count_nonzero(alive[:end])) for end in ends]
-
-    for p, e in factorize(k).factors:
-        if cache.rank_of(F, p**e) == INF:
-            # unreachable once ord(k) is finite; kept as a hard guard
-            return [(0, cb) for cb in counts_b]
-        o1 = _rank_above(q, p, e)
-        if o1 == INF:
-            continue  # excess index valuation is harmless
-        s1 = int(o1) // math.gcd(int(o1), lk)
-        # nu_p(lk) = e: candidates with p | (n/lk) overshoot unless ord(p^(e+1))
-        # misses n; nu_p(lk) > e: every candidate already has nu_p(n) > e
-        step = s1 if lk % p ** (e + 1) == 0 else math.lcm(p, s1)
-        if step <= M:
-            alive[step::step] = False
+    alive &= ~_class_sieve(_A_classes(q, x), (0, lk), M)
     return [
         (int(np.count_nonzero(alive[:end])), cb) for end, cb in zip(ends, counts_b)
     ]
@@ -254,14 +223,6 @@ def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _coprime_rows(scan, n: int) -> np.ndarray:
-    """Mask of the rows of a scan_primes result whose prime does not divide n."""
-    keep = np.ones(len(scan), dtype=bool)
-    for p in factorize(n).prime_set():
-        keep &= scan.p != p
-    return keep
-
-
 def _pretty_prime_pool(
     q: GcdQuery, scan, coprime_to: int = 1
 ) -> list[tuple[int, int]]:
@@ -269,7 +230,9 @@ def _pretty_prime_pool(
     scan found finite, leaving out the primes dividing coprime_to; each rank
     goes into q's cache.  Callers spell each scan the same way, since
     lru_cache keys on the spelling."""
-    keep = scan.pretty & _coprime_rows(scan, coprime_to)
+    keep = scan.pretty
+    for p in factorize(coprime_to).prime_set():
+        keep = keep & (scan.p != p)
     pool = list(zip(scan.p[keep].tolist(), scan.ord[keep].tolist()))
     for p, r in pool:
         q.cache.put(p, r)
@@ -291,6 +254,40 @@ def _hit_classes(q: GcdQuery, scan, coprime_to: int = 1) -> list[tuple[int, int,
             if sol is not None:
                 pool.append((p, *sol))
     return pool
+
+
+def _A_classes(q: GcdQuery, bound) -> list[tuple[int, int, int]]:
+    """(p, 0, ell(p^(e+1))) for each p^e || k with p <= bound, ascending in
+    p: an n of B(k) lies in A(k) exactly when it lies in none of these
+    classes, since p^(e+1) | gcd(n, a_n) exactly when ell(p^(e+1)) | n.  A
+    prime drops out when ord(p^(e+1)) is infinite or p^(e+1) is past
+    MODULUS_MAX (then p^(e+1) never divides an orbit term the analysis can
+    reach)."""
+    pool = []
+    for p, e in factorize(q.k).factors:
+        pe1 = p ** (e + 1)
+        if p <= bound and pe1 <= MODULUS_MAX:
+            r = q.cache.rank_of(q.F, pe1)
+            if r != INF:
+                pool.append((p, 0, math.lcm(pe1, r)))
+    return pool
+
+
+def _class_sieve(pool, base: tuple[int, int], j_max: int) -> np.ndarray:
+    """hit[j] for 0 <= j <= j_max: whether n = r0 + j*m0 of the base class
+    (r0, m0), 0 <= r0 < m0, lies in some class (p, r, m) of pool.  The
+    marking counterpart of _class_walk: a class meets the base class in one
+    class mod L = lcm(m, m0) or in none, so it hits every (L // m0)-th j
+    from the first."""
+    r0, m0 = base
+    hit = np.zeros(j_max + 1, dtype=bool)
+    for _, r, m in pool:
+        sol = crt_pair(r0, m0, r, m)
+        if sol is not None:
+            start = (sol[0] - r0) // m0  # sol[0] = r0 (mod m0), 0 <= sol[0]
+            if start <= j_max:
+                hit[start :: sol[1] // m0] = True
+    return hit
 
 
 def _class_walk(pool, base: tuple[int, int], d_max, m_max):
@@ -379,12 +376,7 @@ def _series(q: GcdQuery, ts, of_A: bool) -> list[SeriesTruncation]:
         return [SeriesTruncation(t, 0.0, 0.0) for t in ts]
     pool = _hit_classes(q, scan_primes(q.F, 2, T), coprime_to=q.k)
     if of_A:
-        for p, e in factorize(q.k).factors:
-            if p <= T:
-                r = _rank_above(q, p, e)
-                if r != INF:
-                    pool.append((p, 0, math.lcm(p ** (e + 1), r)))
-        pool.sort()
+        pool = sorted(pool + _A_classes(q, T))
     totals = [0.0] * len(ts)
     blocks = [0.0] * len(ts)
     for d, mu, _, m in _class_walk(pool, (0, lk), T, INF):
@@ -418,8 +410,8 @@ def series_density_A(q: GcdQuery, T: int) -> SeriesTruncation:
     For squarefree t, ord(t*k) is the lcm of ord(k), of ord(p^(v_p(k)+1))
     over the primes p of t dividing k and of ord(p) over the other primes of
     t, since ord(p^e) divides ord(p^(e+1)).  So this is the walk of the B
-    series with each prime p of k admitted as the class 0 mod
-    ell(p^(v_p(k)+1)), and left out when that rank is infinite.
+    series with each prime p of k admitted as its class in _A_classes, the
+    class 0 mod ell(p^(v_p(k)+1)), and left out when that rank is infinite.
     """
     return _series(q, [T], True)[0]
 
@@ -573,15 +565,11 @@ def non_multiples_count(elements, x: int) -> int:
     """#{1 <= m <= x : no s in elements divides m}; elements must be >= 2."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    elems = sorted(set(int(s) for s in elements))
+    elems = set(int(s) for s in elements)
     if any(s < 2 for s in elems):
         raise ValueError("elements must all be >= 2")
-    alive = np.ones(x + 1, dtype=bool)
-    alive[0] = False
-    for s in elems:
-        if s <= x:
-            alive[s::s] = False
-    return int(alive.sum())
+    hit = _class_sieve([(s, 0, s) for s in elems], (0, 1), x)
+    return x - int(np.count_nonzero(hit[1:]))
 
 
 def y_k_lower_bound(q: GcdQuery, x: int) -> int:
@@ -608,8 +596,8 @@ class HitDensity:
     """Density of indices n caught by some pretty prime p <= z, meaning
     p | gcd(a*n+b, a_n).  Each such prime pins n to one residue class modulo
     ell(p); exact is the inclusion-exclusion union density of those classes
-    (None when the modulus lcm is out of range), marked_count the realized
-    count up to x."""
+    (None when its walk passes _UNION_NODE_MAX nodes), marked_count the
+    realized count up to x."""
 
     z: int
     x: int
@@ -631,15 +619,10 @@ def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
         raise ValueError("hit density is defined for linear forms")
     if z < 2 or x < 1:
         raise ValueError("need z >= 2 and x >= 1")
-    progs = [(r, m) for _, r, m in _hit_classes(q, scan_primes(q.F, 2, z))]
-    mask = np.zeros(x + 1, dtype=bool)
-    for r, m in progs:
-        start = r if r >= 1 else m
-        if start <= x:
-            mask[start::m] = True
-    marked = int(mask[1:].sum())
-    exact = _union_density(progs)
-    return HitDensity(z, x, tuple(progs), marked, exact)
+    pool = _hit_classes(q, scan_primes(q.F, 2, z))
+    marked = int(np.count_nonzero(_class_sieve(pool, (0, 1), x)[1:]))
+    progs = tuple((r, m) for _, r, m in pool)
+    return HitDensity(z, x, progs, marked, _union_density(progs))
 
 
 def _union_density(progs) -> Fraction | None:

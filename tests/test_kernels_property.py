@@ -1,6 +1,6 @@
 """Property tests: the rank kernels, the orbit-residue kernels, the
-factorizer and the residue-class walk against plain iteration, plain
-trial division and plain loops, on random inputs."""
+factorizer, the residue-class walk and the residue-class sieve against plain
+iteration, plain trial division and plain loops, on random inputs."""
 
 import itertools
 import math
@@ -19,9 +19,11 @@ import dyngcd
 from dyngcd.arith_core import crt_pair, factorize
 from dyngcd.density_lab import (
     GcdQuery,
+    _class_sieve,
     _class_walk,
     _gcd_vector,
     count_oracle,
+    count_sieve,
     floor_identity_B,
     series_checkpoints,
     series_density_A,
@@ -458,6 +460,19 @@ def test_class_walk_lists_compatible_subsets_in_lex_order(classes, primes, base,
     assert list(_class_walk(pool, base, d_max, m_max)) == want
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    classes=st.lists(RESIDUE_CLASS, max_size=8),
+    base=st.integers(1, 30).flatmap(lambda m: st.tuples(st.integers(0, m - 1), st.just(m))),
+    j_max=st.integers(0, 300),
+)
+def test_class_sieve_marks_the_indices_of_some_class(classes, base, j_max):
+    pool = [(p, r, m) for p, (r, m) in zip(PRIMES_TO_37, classes)]
+    r0, m0 = base
+    want = [any((r0 + j * m0 - r) % m == 0 for r, m in classes) for j in range(j_max + 1)]
+    assert _class_sieve(pool, base, j_max).tolist() == want
+
+
 WANDERING = st.builds(
     lambda low, lead: IntPolynomial(tuple(low) + (lead,)),
     st.integers(1, 2).flatmap(lambda d: st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1)),
@@ -495,6 +510,17 @@ def close(got: float, want: float) -> bool:
 def test_floor_identity_matches_oracle(F, k, x):
     q = GcdQuery(F, k)
     assert floor_identity_B(q, x) == count_oracle(q, x)[1]
+
+
+# k with a squared prime, where A(k) drops the class 0 mod ell(p^(e+1)) for e >= 2
+SIEVE_K = st.one_of(st.sampled_from((4, 8, 9, 12, 18, 25, 27, 50)), st.integers(1, 60))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(F=WANDERING, k=SIEVE_K, x=st.integers(1, 1500))
+def test_sieve_matches_oracle(F, k, x):
+    q = GcdQuery(F, k)
+    assert count_sieve(q, x) == count_oracle(q, x)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -27,6 +27,7 @@ COMMANDS = [
     "density --poly x^2+1 --k 10 --x 8000 --method both --format json",
     "coprime --poly x^2+1 --a 2 --b 13 --x 5000 --format json",
     "coprime --poly x^2+1 --a 2 --b 1 --x 5000 --format json",
+    "coprime --poly x^2+1 --a 2 --b 7 --x 5000 --format json",
 ]
 
 
@@ -48,6 +49,9 @@ SCAN_COMMANDS = [
     "series --poly x^3+x^2+1 --cache scan2.csv --k 1 --T 9900",
     "density --poly x^2+1 --k 5 --x 1000000 --method sieve --format json",
     "density --poly x^2+x+1 --k 3 --x 1000000 --method sieve --format json",
+    # at 10^6 only the sieve decides the A count, with no oracle cross-check
+    "density --poly x^2+1 --k 10 --x 1000000 --method sieve --format json",
+    "density --poly x^2+1 --k 2 --x 1000000 --method sieve --format json",
 ]
 
 
