@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # lcm_checked signals above this (unsigned 64-bit range).
 U64_MAX = 2**64 - 1
@@ -38,8 +38,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(NamedTuple):
     """n together with its factorization [(p, e), ...] in ascending p."""
 
     n: int

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -31,6 +30,7 @@ from .orbit_engine import (
     IntPolynomial,
     OrdCache,
     _a_mod_vec,
+    _Frozen,
     a_mod,
     check_int64_horner,
     ell,
@@ -45,37 +45,54 @@ class SelfCheckError(AssertionError):
     this except the CLI, which turns it into exit code 4."""
 
 
-@dataclass(frozen=True)
-class GcdQuery:
+class GcdQuery(_Frozen):
     """A polynomial together with the gcd target k, the index form G and the
     rank cache of F.
 
     linear is None for G(x) = x, else the pair (a, b) meaning G(x) = a*x + b
     with a, b >= 1 and gcd(a, b) = 1.  Density operations with k > 1 are only
     defined for the identity form.  cache defaults to a fresh OrdCache for F;
-    queries built with one cache (or derived with dataclasses.replace) share
-    every rank they compute.  It takes no part in equality or hashing.
+    queries built with one cache (or derived with with_k) share every rank
+    they compute.  It takes no part in equality, hashing or the repr.
     """
 
-    F: IntPolynomial
-    k: int
-    linear: tuple[int, int] | None = None
-    cache: OrdCache = field(default=None, compare=False, repr=False)
+    __slots__ = ("F", "k", "linear", "cache")
 
-    def __post_init__(self):
-        require_wandering(self.F)
-        if self.cache is not None:
-            self.cache._check_poly(self.F)
+    def __init__(
+        self, F: IntPolynomial, k: int,
+        linear: tuple[int, int] | None = None, cache: OrdCache | None = None,
+    ):
+        require_wandering(F)
+        if cache is not None:
+            cache._check_poly(F)
         else:
-            object.__setattr__(self, "cache", OrdCache.for_poly(self.F))
-        if self.k < 1:
+            cache = OrdCache.for_poly(F)
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.linear is not None:
-            a, b = self.linear
+        if linear is not None:
+            a, b = linear
             if a < 1 or b < 1:
                 raise ValueError("linear form needs a >= 1 and b >= 1")
             if math.gcd(a, b) != 1:
                 raise ValueError("linear form needs gcd(a, b) = 1")
+        for name, value in (("F", F), ("k", k), ("linear", linear), ("cache", cache)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.F, self.k, self.linear
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is GcdQuery else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GcdQuery(F={self.F!r}, k={self.k!r}, linear={self.linear!r})"
+
+    def with_k(self, k: int) -> GcdQuery:
+        """The same query for the target k, sharing this query's cache."""
+        return GcdQuery(self.F, k, self.linear, self.cache)
 
     def g_of(self, n: int) -> int:
         if self.linear is None:
@@ -354,8 +371,7 @@ def floor_identity_B(q: GcdQuery, x: int) -> int:
     return sum(mu * (x // m) for _, mu, _, m in _class_walk(pool, (0, lk), x, x))
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
+class SeriesTruncation(NamedTuple):
     T: int
     value: float
     last_block: float
@@ -433,7 +449,7 @@ def count_A_inclusion_exclusion(q: GcdQuery, x: int) -> int:
     q._identity_only("count_A_inclusion_exclusion")
     pool = [(p, 0, 1) for p in factorize(q.k).prime_set()]
     return sum(
-        mu * count_sieve(replace(q, k=d * q.k), x)[1]
+        mu * count_sieve(q.with_k(d * q.k), x)[1]
         for d, mu, _, _ in _class_walk(pool, (0, 1), INF, INF)
     )
 
@@ -443,8 +459,7 @@ def count_A_inclusion_exclusion(q: GcdQuery, x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonemptyVerdict:
+class NonemptyVerdict(NamedTuple):
     holds: bool
     witness: int | None
     reason: str
@@ -526,8 +541,7 @@ def a_nonempty(q: GcdQuery) -> NonemptyVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LkSet:
+class LkSet(NamedTuple):
     """The avoidance set for k up to a bound: the primes dividing k, plus the
     ratios ell(k*p)/ell(k) contributed by pretty primes p not dividing k.
     ratio_sources maps each ratio element to the smallest prime producing it."""
@@ -591,8 +605,7 @@ def y_k_lower_bound(q: GcdQuery, x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HitDensity:
+class HitDensity(NamedTuple):
     """Density of indices n caught by some pretty prime p <= z, meaning
     p | gcd(a*n+b, a_n).  Each such prime pins n to one residue class modulo
     ell(p); exact is the inclusion-exclusion union density of those classes
@@ -643,16 +656,14 @@ def _union_density(progs) -> Fraction | None:
     return Fraction(num, lcm_all)
 
 
-@dataclass(frozen=True)
-class CoprimeCheckpoint:
+class CoprimeCheckpoint(NamedTuple):
     z: int
     hit_exact: float
     residual: float
     lower_bound: float
 
 
-@dataclass(frozen=True)
-class CoprimeReport:
+class CoprimeReport(NamedTuple):
     """Empirical density of gcd(a*n+b, a_n) = 1 against the structural lower
     bound 1 - delta_z - residual at each z of the schedule."""
 
@@ -665,23 +676,8 @@ class CoprimeReport:
     checkpoints: tuple[CoprimeCheckpoint, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "poly": self.poly,
-            "a": self.a,
-            "b": self.b,
-            "x": self.x,
-            "count_coprime": self.count_coprime,
-            "density": self.density,
-            "checkpoints": [
-                {
-                    "z": c.z,
-                    "hit_exact": c.hit_exact,
-                    "residual": c.residual,
-                    "lower_bound": c.lower_bound,
-                }
-                for c in self.checkpoints
-            ],
-        }
+        payload = self._asdict()
+        payload["checkpoints"] = [c._asdict() for c in self.checkpoints]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -737,8 +733,7 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DensityReport:
+class DensityReport(NamedTuple):
     poly: str
     k: int
     g_form: str
@@ -751,31 +746,15 @@ class DensityReport:
     nonempty_A: bool
     nonempty_B: bool
     witness: int | None
-    checkpoints: list[tuple[int, int, int]] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
+    checkpoints: list[tuple[int, int, int]]
+    flags: list[str]
 
     def to_json(self) -> str:
-        payload = {
-            "poly": self.poly,
-            "k": self.k,
-            "g_form": self.g_form,
-            "x": self.x,
-            "count_A": self.count_A,
-            "count_B": self.count_B,
-            "floor_identity": self.floor_identity,
-            "series": [
-                {"T": s.T, "value": s.value, "last_block": s.last_block}
-                for s in self.series
-            ],
-            "series_A": [
-                {"T": s.T, "value": s.value, "last_block": s.last_block}
-                for s in self.series_A
-            ],
-            "nonempty_A": self.nonempty_A,
-            "nonempty_B": self.nonempty_B,
-            "witness": self.witness,
-            "flags": self.flags,
-        }
+        """Every field but the checkpoints, which checkpoints_csv prints."""
+        payload = self._asdict()
+        del payload["checkpoints"]
+        payload["series"] = [s._asdict() for s in self.series]
+        payload["series_A"] = [s._asdict() for s in self.series_A]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def checkpoints_csv(self) -> str:

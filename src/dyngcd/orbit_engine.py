@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -55,22 +54,49 @@ class CacheMismatchError(RuntimeError):
     one it was computed for, or holds entries that cannot be ranks."""
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class _Frozen:
+    """Base of the immutable __slots__ classes: __init__ sets each slot once
+    through object.__setattr__, and nothing sets or deletes one after.  A
+    copy or an unpickled instance is built by __init__ from the slots, so
+    __init__ must take them positionally in __slots__ order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class IntPolynomial(_Frozen):
     """Integer polynomial c_0 + c_1 x + ... + c_d x^d, degree d >= 2, c_d >= 1.
 
     coeffs are stored ascending, so coeffs[i] is the coefficient of x^i.
+    Equal and hashed by coeffs, so that the lru caches key on it.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if len(self.coeffs) < 3:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if len(coeffs) < 3:
             raise ParseError("degree must be at least 2")
-        if self.coeffs[-1] < 1:
+        if coeffs[-1] < 1:
             raise ParseError("leading coefficient must be positive")
-        if any(not isinstance(c, int) for c in self.coeffs):
+        if any(not isinstance(c, int) for c in coeffs):
             raise ParseError("coefficients must be integers")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is IntPolynomial else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -159,8 +185,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """Orbit type of 0: wandering, or preperiodic with the least m and cycle
     length period >= 1 such that a_m = a_{m+period} over the integers."""
 
@@ -390,16 +415,25 @@ def _a_mod_vec(
     """a_targets[i] mod mods[i] for every lane, from int64 arrays with
     targets >= 1 that passed check_int64_horner: one a_mod per lane.  After
     the lockstep walk the lanes are sorted by the steps they have left, so
-    the ones still stepping are always a suffix."""
+    the ones still stepping are always a suffix; they step in lockstep while
+    more than _TAIL_LANES of them are live, and the rest in Python ints."""
     import numpy as np
 
     steps, period, v = _first_return_vec(coeffs, mods, targets)
     left = (targets - steps) % np.maximum(period, 1)
     order = np.argsort(left)
     v, mods, left = v[order], mods[order], left[order]
-    # step j advances the lanes with more than j steps left
-    for k in np.searchsorted(left, np.arange(left.max(initial=0)), side="right").tolist():
+    # step j < lock advances the lanes with more than j steps left, more
+    # than _TAIL_LANES of them; the last _TAIL_LANES lanes then finish alone
+    lock = int(left[-_TAIL_LANES - 1]) if left.size > _TAIL_LANES else 0
+    for k in np.searchsorted(left, np.arange(lock), side="right").tolist():
         v[k:] = _horner_vec(coeffs, v[k:], mods[k:])
+    F = IntPolynomial(coeffs)
+    for i in range(max(left.size - _TAIL_LANES, 0), left.size):
+        vi, m = int(v[i]), int(mods[i])
+        for _ in range(int(left[i]) - lock):
+            vi = F.eval_mod(vi, m)
+        v[i] = vi
     out = np.empty_like(v)
     out[order] = v
     return out
@@ -428,7 +462,6 @@ def ord_table(F: IntPolynomial, limit: int) -> np.ndarray:
 _CACHE_VERSION = 1
 
 
-@dataclass
 class OrdCache:
     """Persistent map modulus -> rank of apparition for a fixed polynomial.
 
@@ -437,8 +470,11 @@ class OrdCache:
     CSV on disk encodes INF as 0 and carries the polynomial fingerprint.
     """
 
-    poly_key: str
-    ranks: dict[int, int | float] = field(default_factory=dict)
+    __slots__ = ("poly_key", "ranks")
+
+    def __init__(self, poly_key: str, ranks: dict[int, int | float] | None = None):
+        self.poly_key = poly_key
+        self.ranks = {} if ranks is None else ranks
 
     @classmethod
     def for_poly(cls, F: IntPolynomial) -> "OrdCache":

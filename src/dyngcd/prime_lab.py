@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .arith_core import sieve_primes
 from .orbit_engine import (
     _VEC_MODULUS_MAX,
     IntPolynomial,
+    _Frozen,
     _horner_vec,
     check_int64_horner,
     first_zero_scan,
@@ -85,8 +86,7 @@ def is_injective_mod_p(F: IntPolynomial, p: int) -> bool:
     return int(np.bincount(vals, minlength=p).max()) == 1
 
 
-@dataclass(frozen=True, eq=False)
-class PrimeScan:
+class PrimeScan(_Frozen):
     """A scan's result as three read-only columns, one row per prime.
 
     p holds the primes in ascending order.  ord holds each rank of
@@ -94,13 +94,12 @@ class PrimeScan:
     unresolved under a sieve bound (which still certifies ell(p) > bound).
     injective says whether x -> F(x) is a bijection mod p."""
 
-    p: np.ndarray
-    ord: np.ndarray
-    injective: np.ndarray
+    __slots__ = ("p", "ord", "injective")
 
-    def __post_init__(self):
-        for col in (self.p, self.ord, self.injective):
+    def __init__(self, p: np.ndarray, ord: np.ndarray, injective: np.ndarray):
+        for name, col in (("p", p), ("ord", ord), ("injective", injective)):
             col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return self.p.size
@@ -300,8 +299,7 @@ def pretty_prime_density(F: IntPolynomial, x: int) -> float:
     return int(np.count_nonzero(scan.pretty)) / len(scan)
 
 
-@dataclass(frozen=True)
-class AnomalousReport:
+class AnomalousReport(NamedTuple):
     """Survey of the primes with p | a_p: rank exactly p (anomalous) or rank 1
     (divisors of the first orbit term).  partial_sum is sum of 1/p over both
     lists; the verdict is 'plausibly nice' only when no anomalous prime sits
@@ -315,15 +313,7 @@ class AnomalousReport:
     verdict: str
 
     def to_json(self) -> str:
-        payload = {
-            "poly": self.poly,
-            "x": self.x,
-            "anomalous_primes": list(self.anomalous_primes),
-            "f0_divisors": list(self.f0_divisors),
-            "partial_sum": self.partial_sum,
-            "verdict": self.verdict,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
 
 def anomalous_report(F: IntPolynomial, x: int) -> AnomalousReport:

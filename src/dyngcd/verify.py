@@ -11,7 +11,7 @@ prints them as PASS/FAIL lines and exits nonzero on any FAIL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ DEFAULT_POLYS = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     poly: str
     ok: bool

@@ -1,7 +1,7 @@
 import json
 import math
+import pickle
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -150,11 +150,23 @@ def test_report_series_keep_every_term_past_64_bits():
 
 
 def test_query_cache_follows_replace_and_stays_out_of_eq():
+    # with_k is the one way to derive a query, and it keeps the cache
     q = GcdQuery(F, 5)
-    sub = replace(q, k=10)
-    assert sub.cache is q.cache
-    assert q == GcdQuery(F, 5) and hash(q) == hash(GcdQuery(F, 5))
-    assert "cache" not in repr(q)
+    sub = q.with_k(10)
+    assert sub == GcdQuery(F, 10) and sub.cache is q.cache
+    lin = GcdQuery(F, 1, linear=(2, 1), cache=q.cache).with_k(3)
+    assert (lin.k, lin.linear, lin.cache) == (3, (2, 1), q.cache)
+    with pytest.raises(ValueError):
+        q.with_k(0)
+    # equal and hashed by (F, k, linear) whatever the cache, and immutable
+    other = GcdQuery(F, 5, cache=OrdCache.for_poly(F))
+    assert q == other and hash(q) == hash(other) and q.cache is not other.cache
+    assert q != GcdQuery(F, 5, linear=(2, 1)) and q != GcdQuery(F, 6)
+    assert repr(q) == "GcdQuery(F=IntPolynomial(coeffs=(1, 0, 1)), k=5, linear=None)"
+    with pytest.raises(AttributeError):
+        q.k = 6
+    twin = pickle.loads(pickle.dumps(q))
+    assert twin == q and twin.cache.poly_key == q.cache.poly_key
 
 
 def test_query_refuses_a_cache_of_another_polynomial():

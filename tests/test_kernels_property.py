@@ -33,6 +33,7 @@ from dyngcd.orbit_engine import (
     INF,
     IntPolynomial,
     OrdCache,
+    _a_mod_vec,
     _first_return,
     _first_return_vec,
     _horner_vec,
@@ -353,6 +354,19 @@ def triangular_gcd_vector(F: IntPolynomial, x: int, linear) -> np.ndarray:
 )
 def test_a_mod_matches_plain_loop(F, n, m):
     assert a_mod(F, n, m) == plain_a_mod(F, n, m)
+
+
+# powers of two: their orbits run longest, so their lanes reach the tail
+TAIL_MODS = st.one_of(st.integers(1, 3000), st.sampled_from([2**k for k in range(1, 12)]))
+
+
+@PROPS
+@given(F=polys(VEC_COEFF), lanes=lane_lists(st.tuples(TAIL_MODS, st.integers(1, 5000))))
+def test_a_mod_vec_matches_a_mod_lane_by_lane(F, lanes):
+    mods = np.array([m for m, _ in lanes], dtype=np.int64)
+    targets = np.array([n for _, n in lanes], dtype=np.int64)
+    got = _a_mod_vec(F.coeffs, mods, targets).tolist()
+    assert got == [a_mod(F, n, m) for m, n in lanes]
 
 
 # linear forms up to 9*600 + 50; the guard admits |c| up to its edge there

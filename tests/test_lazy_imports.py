@@ -1,7 +1,8 @@
-"""Load on demand: `import dyngcd` and the scalar commands leave numpy and the
-prime, density and verify layers unloaded, while the package still exports
-every public name."""
+"""Load on demand: `import dyngcd` and the scalar commands leave numpy, the
+prime, density and verify layers, and the slow stdlib modules dataclasses and
+inspect unloaded, while the package still exports every public name."""
 
+import ast
 import importlib
 import json
 import os
@@ -15,6 +16,9 @@ import dyngcd
 
 SRC = str(Path(dyngcd.__file__).parents[1])
 HEAVY = ["numpy", "dyngcd.prime_lab", "dyngcd.density_lab", "dyngcd.verify"]
+# about 10 ms of imports between them (inspect pulls in ast and dis); numpy
+# imports inspect itself, so only the scalar commands can start without it
+SLOW_STDLIB = ["dataclasses", "inspect"]
 
 # each command with the stdout it printed before the layers were loaded lazily
 SCALAR = [
@@ -51,7 +55,7 @@ print(json.dumps([run(argv) for argv in sys.argv[2:]]))
 def test_scalar_commands_load_no_numpy_and_scan_does(tmp_path):
     argvs = [argv for argv, _ in SCALAR] + [SCAN[0]]
     res = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(HEAVY), *argvs],
+        [sys.executable, "-c", _CHILD, json.dumps(HEAVY + SLOW_STDLIB), *argvs],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, timeout=60,
     )
@@ -60,8 +64,21 @@ def test_scalar_commands_load_no_numpy_and_scan_does(tmp_path):
     for (argv, want), got in zip(SCALAR, runs):
         assert got == {"out": want, "loaded": []}, argv
     assert (tmp_path / "r.csv").exists()
-    # scan loads the prime layer and numpy, and only those
-    assert runs[-1] == {"out": SCAN[1], "loaded": ["dyngcd.prime_lab", "numpy"]}
+    # scan loads the prime layer and numpy, and no other layer
+    assert runs[-1]["out"] == SCAN[1]
+    assert [m for m in runs[-1]["loaded"] if m in HEAVY] == ["dyngcd.prime_lab", "numpy"]
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    for path in sorted(Path(dyngcd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name
 
 
 def test_every_export_is_its_submodule_object():

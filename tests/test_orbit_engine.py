@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +55,32 @@ def test_parse_round_trip_through_coeff_key():
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_polynomial(bad)
+
+
+def test_polynomial_is_an_immutable_value_keyed_by_its_coefficients():
+    P = IntPolynomial((1, 0, 1))
+    assert P == F and hash(P) == hash(F) and P is not F
+    assert P != IntPolynomial((1, 1, 1)) and P != (1, 0, 1)
+    assert {P: "x^2+1"}[F] == "x^2+1"
+    assert repr(P) == "IntPolynomial(coeffs=(1, 0, 1))"
+    with pytest.raises(AttributeError):
+        P.coeffs = (2, 0, 1)
+    with pytest.raises(AttributeError):
+        del P.coeffs
+    with pytest.raises(AttributeError):
+        P.extra = 1
+    assert P.coeffs == (1, 0, 1)
+    assert copy.deepcopy(P) == pickle.loads(pickle.dumps(P)) == P
+
+
+@pytest.mark.parametrize(
+    "coeffs, why",
+    [((1, 1), "degree"), ((1, 0, 0), "leading"), ((1, 0, -1), "leading"),
+     ((1.0, 0, 1), "integers"), ((1, "0", 1), "integers")],
+)
+def test_polynomial_refuses_bad_coefficients(coeffs, why):
+    with pytest.raises(ParseError, match=why):
+        IntPolynomial(coeffs)
 
 
 def test_str_forms():
@@ -221,12 +249,17 @@ def test_cache_round_trip(tmp_path):
     c = OrdCache.for_poly(F)
     c.put(5, 3)
     c.put(3, INF)
+    for n in (1, 2, 13, 25, 65, 2**20):
+        c.rank_of(F, n)
     path = tmp_path / "ranks.csv"
     c.save(path)
     c2 = OrdCache.load(path, expect=F)
+    assert c2.poly_key == c.poly_key == "1,0,1" and c2.ranks == c.ranks
     assert c2.ranks.get(5) == 3
     assert c2.ranks.get(3) == INF
     assert c2.ranks.get(7) is None
+    c2.put(7, INF)  # a loaded cache stays mutable
+    assert c2.rank_of(F, 7) == INF and 7 not in c.ranks
 
 
 def test_cache_conflict_and_poly_mismatch(tmp_path):

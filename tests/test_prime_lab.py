@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -69,6 +70,20 @@ def test_exact_scan_small():
     for p in (3, 7, 11, 17, 19):
         assert recs[p] == (0, False, False, False, 0)  # 0: infinite ord and ell
     assert [p for p, r in sorted(recs.items()) if r[1]] == [2, 5, 13]
+
+
+def test_scan_columns_stay_read_only():
+    scan = scan_primes(F, 2, 50)
+    assert len(scan) == 15
+    for name in ("p", "ord", "injective"):
+        col = getattr(scan, name)
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0
+        with pytest.raises(AttributeError):
+            setattr(scan, name, col.copy())
+    twin = copy.deepcopy(scan)
+    assert twin.p.tolist() == scan.p.tolist() and not twin.ord.flags.writeable
 
 
 def test_pretty_primes_to_700():

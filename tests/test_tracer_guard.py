@@ -49,6 +49,16 @@ def test_positional_hook_signatures_unchanged():
     assert _params(orbit_engine.OrdCache.rank_of) == ["self", "F", "n"]
 
 
+def test_rank_cache_keeps_what_install_patches():
+    # install replaces rank_of and save on the class, unwraps load from the
+    # class body as a classmethod, and its hooks read cache.ranks
+    cls = orbit_engine.OrdCache
+    assert isinstance(cls.__dict__["load"], classmethod)
+    assert _params(cls.save) == ["self", "path"]
+    assert _params(cls.__dict__["load"].__func__)[:2] == ["cls", "path"]
+    assert cls.for_poly(orbit_engine.parse_polynomial("x^2+1")).ranks == {}
+
+
 def test_verify_import_loads_the_layers_install_reads():
     # tracer.install imports dyngcd.verify, then finds prime_lab and
     # density_lab in sys.modules; a fresh process shows what that import loads
