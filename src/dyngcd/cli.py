@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 bad input (parse failure, preperiodic orbit, invalid
-arguments, coefficients too large for the int64 kernels), 3 cache fingerprint
-mismatch or corrupt cache, 4 internal cross-check failure (dual-route
-disagreement or a failed verify suite).
+arguments, coefficients too large for the int64 kernels, a --cache path that
+cannot be read or written), 3 cache fingerprint mismatch or corrupt cache, 4
+internal cross-check failure (dual-route disagreement or a failed verify
+suite).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .orbit_engine import (
     INF,
     CacheMismatchError,
     OrdCache,
-    ParseError,
-    PreperiodicOrbitError,
     classify_orbit,
     growth_constant_estimate,
     ord_crt,
@@ -47,8 +46,8 @@ def _cache_path(ns) -> Path | None:
 def _load_cache(ns, F) -> OrdCache:
     path = _cache_path(ns)
     if path is not None and path.exists():
-        return OrdCache.load(path, expect=F)
-    return OrdCache.for_poly(F)
+        return OrdCache.load(path, F)
+    return OrdCache(F)
 
 
 def _save_cache(ns, cache: OrdCache) -> None:
@@ -83,14 +82,16 @@ def cmd_classify(ns) -> int:
 def cmd_ord(ns) -> int:
     F = parse_polynomial(ns.poly)
     require_wandering(F)
-    if min(ns.n) < 1:  # before the first line, so that a refused n leaves stdout empty
-        raise ValueError("n must be >= 1")
     cache = _load_cache(ns, F)
+    # every rank and the cache first, so that a refused n or an unwritable
+    # cache leaves stdout empty
+    lines = []
     for n in ns.n:
-        r = ord_crt(F, n, cache)
+        r = ord_crt(cache, n)
         le = INF if r == INF else math.lcm(n, int(r))
-        print(f"n={n} ord={_fmt_rank(r)} ell={_fmt_rank(le)}")
+        lines.append(f"n={n} ord={_fmt_rank(r)} ell={_fmt_rank(le)}\n")
     _save_cache(ns, cache)
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -113,7 +114,7 @@ def cmd_density(ns) -> int:
     from .density_lab import GcdQuery, build_density_report
 
     F = parse_polynomial(ns.poly)
-    q = GcdQuery(F, ns.k, cache=_load_cache(ns, F))
+    q = GcdQuery(_load_cache(ns, F), ns.k)
     method = ns.method
     if method is None:
         method = "both" if ns.x <= _DENSITY_ORACLE_MAX else "sieve"
@@ -150,15 +151,16 @@ def cmd_series(ns) -> int:
     F = parse_polynomial(ns.poly)
     if ns.T < 1:
         raise ValueError("T must be >= 1")
-    q = GcdQuery(F, ns.k, cache=_load_cache(ns, F))
-    # every row before the header, so that a refused k leaves stdout empty
+    q = GcdQuery(_load_cache(ns, F), ns.k)
+    # every row and the cache before the header, so that a refused k or an
+    # unwritable cache leaves stdout empty
     series_b, series_a = series_checkpoints(q, ns.T)
+    _save_cache(ns, q.cache)
     print("T,series_B,last_block_B,series_A,last_block_A")
     for sb, sa in zip(series_b, series_a):
         print(
             f"{sb.T},{sb.value:.9f},{sb.last_block:.3e},{sa.value:.9f},{sa.last_block:.3e}"
         )
-    _save_cache(ns, q.cache)
     return 0
 
 
@@ -184,7 +186,7 @@ def cmd_coprime(ns) -> int:
     from .density_lab import GcdQuery, linear_coprime_report
 
     F = parse_polynomial(ns.poly)
-    q = GcdQuery(F, 1, linear=(ns.a, ns.b), cache=_load_cache(ns, F))
+    q = GcdQuery(_load_cache(ns, F), 1, linear=(ns.a, ns.b))
     report = linear_coprime_report(q, ns.x, ns.z or [10, 100, 1000])
     _save_cache(ns, q.cache)
     if ns.format == "json":
@@ -314,16 +316,13 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (ParseError, PreperiodicOrbitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CacheMismatchError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 3
     except AssertionError as exc:  # density_lab.SelfCheckError included
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ParseError, PreperiodicOrbitError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

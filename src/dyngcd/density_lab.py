@@ -46,27 +46,19 @@ class SelfCheckError(AssertionError):
 
 
 class GcdQuery(_Frozen):
-    """A polynomial together with the gcd target k, the index form G and the
-    rank cache of F.
+    """A rank context together with the gcd target k and the index form G.
 
     linear is None for G(x) = x, else the pair (a, b) meaning G(x) = a*x + b
     with a, b >= 1 and gcd(a, b) = 1.  Density operations with k > 1 are only
-    defined for the identity form.  cache defaults to a fresh OrdCache for F;
-    queries built with one cache (or derived with with_k) share every rank
-    they compute.  It takes no part in equality, hashing or the repr.
+    defined for the identity form.  Queries built over one OrdCache (or
+    derived with with_k) share every rank they compute.  Equality, hashing
+    and the repr go by (F, k, linear), whatever the cache.
     """
 
-    __slots__ = ("F", "k", "linear", "cache")
+    __slots__ = ("cache", "k", "linear")
 
-    def __init__(
-        self, F: IntPolynomial, k: int,
-        linear: tuple[int, int] | None = None, cache: OrdCache | None = None,
-    ):
-        require_wandering(F)
-        if cache is not None:
-            cache._check_poly(F)
-        else:
-            cache = OrdCache.for_poly(F)
+    def __init__(self, cache: OrdCache, k: int, linear: tuple[int, int] | None = None):
+        require_wandering(cache.F)
         if k < 1:
             raise ValueError("k must be >= 1")
         if linear is not None:
@@ -75,8 +67,12 @@ class GcdQuery(_Frozen):
                 raise ValueError("linear form needs a >= 1 and b >= 1")
             if math.gcd(a, b) != 1:
                 raise ValueError("linear form needs gcd(a, b) = 1")
-        for name, value in (("F", F), ("k", k), ("linear", linear), ("cache", cache)):
+        for name, value in (("cache", cache), ("k", k), ("linear", linear)):
             object.__setattr__(self, name, value)
+
+    @property
+    def F(self) -> IntPolynomial:
+        return self.cache.F
 
     def _key(self) -> tuple:
         return self.F, self.k, self.linear
@@ -92,7 +88,7 @@ class GcdQuery(_Frozen):
 
     def with_k(self, k: int) -> GcdQuery:
         """The same query for the target k, sharing this query's cache."""
-        return GcdQuery(self.F, k, self.linear, self.cache)
+        return GcdQuery(self.cache, k, self.linear)
 
     def g_of(self, n: int) -> int:
         if self.linear is None:
@@ -220,7 +216,7 @@ def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
     x.  Whether n is a member does not depend on the cut-off, so each count
     is a prefix count of the sieve at x: alive[j] stands for n = j * ell(k),
     and the count at cx reads alive[: cx // ell(k) + 1]."""
-    lk = ell(q.F, q.k, q.cache)
+    lk = ell(q.cache, q.k)
     if lk == INF or lk > x:
         return [(0, 0)] * len(cuts)
     M = x // lk
@@ -363,7 +359,7 @@ def floor_identity_B(q: GcdQuery, x: int) -> int:
     q._identity_only("floor_identity_B")
     if x < 1:
         raise ValueError("x must be >= 1")
-    lk = ell(q.F, q.k, q.cache)
+    lk = ell(q.cache, q.k)
     if lk == INF or lk > x:
         return 0
     pool = _hit_classes(q, scan_primes(q.F, 2, x, sieve_bound=x), coprime_to=q.k)
@@ -387,7 +383,7 @@ def _series(q: GcdQuery, ts, of_A: bool) -> list[SeriesTruncation]:
     if ts[0] < 1:
         raise ValueError("T must be >= 1")
     T = ts[-1]
-    lk = ell(q.F, q.k, q.cache)
+    lk = ell(q.cache, q.k)
     if lk == INF:
         return [SeriesTruncation(t, 0.0, 0.0) for t in ts]
     pool = _hit_classes(q, scan_primes(q.F, 2, T), coprime_to=q.k)
@@ -472,7 +468,7 @@ def _ell_factored(q: GcdQuery) -> tuple[int, dict[int, int]] | None:
     """ell(k) with its factorization {p: e}, or None when k is not pretty.
     The factors come from those of k and of ord(k) <= k, which stay inside
     factorize's range even where ell(k) = lcm(k, ord(k)) does not."""
-    rk = ord_crt(q.F, q.k, q.cache)
+    rk = ord_crt(q.cache, q.k)
     if rk == INF:
         return None
     factors = dict(factorize(rk).factors)
@@ -487,7 +483,7 @@ def b_nonempty(q: GcdQuery) -> NonemptyVerdict:
     violate that, so the check is finite; when it passes, n = ell(k) itself
     is a member."""
     q._identity_only("b_nonempty")
-    F, k, cache = q.F, q.k, q.cache
+    k = q.k
     lf = _ell_factored(q)
     if lf is None:
         return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
@@ -495,7 +491,7 @@ def b_nonempty(q: GcdQuery) -> NonemptyVerdict:
     for p in factors:
         if k % p == 0:
             continue
-        lp = ell(F, p, cache)
+        lp = ell(q.cache, p)
         if lp != INF and lk % lp == 0:
             return NonemptyVerdict(
                 False,
@@ -560,13 +556,13 @@ def build_Lk(q: GcdQuery, bound: int) -> tuple[LkSet, float]:
     q._identity_only("build_Lk")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    F, k, cache = q.F, q.k, q.cache
-    lk = ell(F, k, cache)
+    k = q.k
+    lk = ell(q.cache, k)
     if lk == INF:
         raise ValueError("avoidance set needs pretty k")
     prime_elements = tuple(p for p in factorize(k).prime_set() if p <= bound)
     ratio_sources: dict[int, int] = {}
-    for p, _, m in _hit_classes(q, scan_primes(F, 2, bound), coprime_to=k):
+    for p, _, m in _hit_classes(q, scan_primes(q.F, 2, bound), coprime_to=k):
         r = math.lcm(m, lk) // lk  # ell(p*k) = lcm(ell(p), ell(k)) for p not dividing k
         if r <= bound and r not in ratio_sources:
             ratio_sources[r] = p
@@ -590,7 +586,7 @@ def y_k_lower_bound(q: GcdQuery, x: int) -> int:
     """#(ell(k) * N(L_k)) up to x: a certified lower bound for #B(x), and for
     #A(x) when F has zero linear coefficient (rigid divisibility)."""
     q._identity_only("y_k_lower_bound")
-    lk = ell(q.F, q.k, q.cache)
+    lk = ell(q.cache, q.k)
     if lk == INF or lk > x:
         return 0
     lset, _ = build_Lk(q, x)
@@ -642,8 +638,18 @@ def _union_density(progs) -> Fraction | None:
     """Inclusion-exclusion density of a union of residue classes (r, m),
     walking only the compatible subsets (an incompatible pair kills its
     whole branch).  None if the walk visits more than _UNION_NODE_MAX
-    nonempty subsets.  Every subset's modulus divides the lcm of all the
-    moduli, so the sum is kept as an integer numerator over that lcm."""
+    nonempty subsets.  Classes that meet pairwise meet jointly (the
+    generalized CRT), so every nonempty subset of s pairwise-meeting classes
+    is a node: once a greedy pass finds s of them with 2^s - 1 past the
+    budget, the walk cannot finish and None comes without walking.  Every
+    subset's modulus divides the lcm of all the moduli, so the sum is kept as
+    an integer numerator over that lcm."""
+    meeting = []
+    for r, m in progs:
+        if all((r - r2) % math.gcd(m, m2) == 0 for r2, m2 in meeting):
+            meeting.append((r, m))
+            if 2 ** len(meeting) - 1 > _UNION_NODE_MAX:
+                return None
     lcm_all = math.lcm(*(m for _, m in progs))
     # every class as p = 1: d plays no part in a union
     walk = _class_walk([(1, r, m) for r, m in progs], (0, 1), INF, INF)
@@ -782,7 +788,7 @@ def build_density_report(
     flags: list[str] = []
     # rank k first, so that the oracle route refuses a k past 2^62 as the
     # sieve route does, before numpy meets it
-    rk = ord_crt(q.F, q.k, q.cache)
+    rk = ord_crt(q.cache, q.k)
     cps = sorted(set(cx for cx in (x // 4, x // 2, x) if cx >= 1))
     if method in ("sieve", "both"):
         counts = dict(zip(cps, _sieve_counts(q, x, cps)))

@@ -463,28 +463,20 @@ _CACHE_VERSION = 1
 
 
 class OrdCache:
-    """Persistent map modulus -> rank of apparition for a fixed polynomial.
+    """The rank context of one polynomial F: a map modulus -> rank of
+    apparition, kept on disk between runs.
 
     Stored entries are exact: a finite value r means a_r is the first orbit
     value divisible by the key, and INF means no orbit value ever is.  The
-    CSV on disk encodes INF as 0 and carries the polynomial fingerprint.
+    CSV on disk encodes INF as 0 and carries F's coefficients as its
+    fingerprint.
     """
 
-    __slots__ = ("poly_key", "ranks")
+    __slots__ = ("F", "ranks")
 
-    def __init__(self, poly_key: str, ranks: dict[int, int | float] | None = None):
-        self.poly_key = poly_key
+    def __init__(self, F: IntPolynomial, ranks: dict[int, int | float] | None = None):
+        self.F = F
         self.ranks = {} if ranks is None else ranks
-
-    @classmethod
-    def for_poly(cls, F: IntPolynomial) -> "OrdCache":
-        return cls(F.coeff_key())
-
-    def _check_poly(self, F: IntPolynomial) -> None:
-        if F.coeff_key() != self.poly_key:
-            raise CacheMismatchError(
-                f"cache built for {self.poly_key!r}, used with {F.coeff_key()!r}"
-            )
 
     def put(self, n: int, rank: int | float) -> None:
         old = self.ranks.get(n)
@@ -494,7 +486,9 @@ class OrdCache:
 
     def rank_of(self, F: IntPolynomial, n: int) -> int | float:
         """Cached ord_direct."""
-        self._check_poly(F)
+        # F stays for perfbench/tracer.py, which wraps rank_of(self, F, n)
+        if F != self.F:
+            raise CacheMismatchError(f"cache built for {self.F}, used with {F}")
         r = self.ranks.get(n)
         if r is None:
             r = ord_direct(F, n)
@@ -507,7 +501,7 @@ class OrdCache:
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(f"# poly={self.poly_key}\n")
+                fh.write(f"# poly={self.F.coeff_key()}\n")
                 fh.write(f"# version={_CACHE_VERSION}\n")
                 fh.write("p,ord\n")
                 for n in sorted(self.ranks):
@@ -520,44 +514,47 @@ class OrdCache:
             raise
 
     @classmethod
-    def load(cls, path, expect: IntPolynomial | str | None = None) -> "OrdCache":
-        """Read a cache written by save.  A file whose entries cannot be ranks
+    def load(cls, path, F: IntPolynomial) -> "OrdCache":
+        """Read the cache of F written by save.  A file for another
+        polynomial, or one that is not UTF-8 or whose entries cannot be ranks
         (a key below 1 or listed twice, or a rank outside 0 = INF or
-        1 <= r <= n) is refused with CacheMismatchError."""
+        1 <= r <= n), is refused with CacheMismatchError."""
         meta: dict[str, str] = {}
         ranks: dict[int, int | float] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    meta[key.strip()] = val.strip()
-                    continue
-                if line == "p,ord":
-                    continue
-                ps, _, rs = line.partition(",")
-                try:
-                    n, r = int(ps), int(rs)
-                except ValueError:
-                    raise CacheMismatchError(f"{path}: malformed entry {line!r}") from None
-                if n < 1 or not (r == 0 or 1 <= r <= n):
-                    raise CacheMismatchError(f"{path}: impossible rank {r} for {n}")
-                if n in ranks:
-                    raise CacheMismatchError(f"{path}: modulus {n} listed twice")
-                ranks[n] = INF if r == 0 else r
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise CacheMismatchError(f"{path}: not a UTF-8 text file") from None
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, val = line[1:].strip().partition("=")
+                meta[key.strip()] = val.strip()
+                continue
+            if line == "p,ord":
+                continue
+            ps, _, rs = line.partition(",")
+            try:
+                n, r = int(ps), int(rs)
+            except ValueError:
+                raise CacheMismatchError(f"{path}: malformed entry {line!r}") from None
+            if n < 1 or not (r == 0 or 1 <= r <= n):
+                raise CacheMismatchError(f"{path}: impossible rank {r} for {n}")
+            if n in ranks:
+                raise CacheMismatchError(f"{path}: modulus {n} listed twice")
+            ranks[n] = INF if r == 0 else r
         if "poly" not in meta:
             raise CacheMismatchError(f"{path}: missing polynomial fingerprint")
         if meta.get("version") != str(_CACHE_VERSION):
             raise CacheMismatchError(f"{path}: unsupported cache version")
-        if expect is not None:
-            want = expect.coeff_key() if isinstance(expect, IntPolynomial) else expect
-            if meta["poly"] != want:
-                raise CacheMismatchError(
-                    f"{path}: cache is for poly {meta['poly']!r}, expected {want!r}"
-                )
-        return cls(meta["poly"], ranks)
+        if meta["poly"] != F.coeff_key():
+            raise CacheMismatchError(
+                f"{path}: cache is for poly {meta['poly']!r}, expected {F.coeff_key()!r}"
+            )
+        return cls(F, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +562,8 @@ class OrdCache:
 # ---------------------------------------------------------------------------
 
 
-def ord_crt(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | float:
-    """Rank of apparition of n composed from its prime powers:
+def ord_crt(cache: OrdCache, n: int) -> int | float:
+    """Rank of apparition of n for cache.F, composed from its prime powers:
     ord(n) = lcm of ord(p^e) over p^e || n, infinite as soon as one factor is.
     p is ranked before p^e: ord(p) | ord(p^e), so an infinite ord(p) settles
     the answer without walking the much longer orbit mod p^e.  A finite
@@ -576,8 +573,7 @@ def ord_crt(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | fl
         raise ValueError("n must be >= 1")
     if n == 1:
         return 1
-    if cache is None:
-        cache = OrdCache.for_poly(F)
+    F = cache.F
     acc = 1
     for p, e in factorize(n).factors:
         if e > 1 and cache.rank_of(F, p) == INF:
@@ -589,11 +585,11 @@ def ord_crt(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | fl
     return acc
 
 
-def ell(F: IntPolynomial, n: int, cache: OrdCache | None = None) -> int | float:
-    """ell(n) = lcm(n, ord(n)): the exact period of indices r with
-    n | gcd(r, a_r).  It is a Python int however large, and infinite
+def ell(cache: OrdCache, n: int) -> int | float:
+    """ell(n) = lcm(n, ord(n)) for cache.F: the exact period of indices r
+    with n | gcd(r, a_r).  It is a Python int however large, and infinite
     exactly when n is not pretty."""
-    r = ord_crt(F, n, cache)
+    r = ord_crt(cache, n)
     return INF if r == INF else math.lcm(n, r)
 
 

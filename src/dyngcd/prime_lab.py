@@ -256,7 +256,7 @@ def low_rank_primes(F: IntPolynomial, beta: float, x: int) -> list[int]:
 
 
 def low_rank_growth(
-    F: IntPolynomial, beta: float, xs, calibrate_x: int | None = None
+    F: IntPolynomial, beta: float, xs
 ) -> tuple[list[tuple[int, int, float, bool]], bool]:
     """Count low-rank primes at each x and compare against C * x^beta with C
     calibrated at the smallest checkpoint.  Rows are (x, count, bound,
@@ -265,19 +265,13 @@ def low_rank_growth(
     xs = sorted(set(int(x) for x in xs))
     if not xs:
         raise ValueError("need at least one checkpoint")
-    if calibrate_x is None:
-        calibrate_x = xs[0]
-    base = len(low_rank_primes(F, beta, calibrate_x))
-    scale = max(base, 1) / calibrate_x**beta
+    counts = [len(low_rank_primes(F, beta, x)) for x in xs]
+    scale = max(counts[0], 1) / xs[0] ** beta
     rows = []
-    flagged = False
-    for x in xs:
-        cnt = len(low_rank_primes(F, beta, x))
+    for x, cnt in zip(xs, counts):
         bound = scale * x**beta
-        within = cnt <= bound or x <= calibrate_x
-        rows.append((x, cnt, bound, within))
-        flagged = flagged or not within
-    return rows, flagged
+        rows.append((x, cnt, bound, cnt <= bound or x == xs[0]))
+    return rows, not all(within for *_, within in rows)
 
 
 def mertens_pretty_product(F: IntPolynomial, bound: int) -> tuple[float, int]:

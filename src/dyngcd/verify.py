@@ -106,7 +106,7 @@ def _suite_rank_crt(F, bound, cache, table):
     tlim = len(table) - 1
     bad = 0
     for n in range(2, tlim + 1):
-        via_crt = ord_crt(F, n, cache)
+        via_crt = ord_crt(cache, n)
         via_table = INF if table[n] == 0 else int(table[n])
         if via_crt != via_table:
             bad += 1
@@ -138,7 +138,7 @@ def _suite_joint_rank(F, bound, cache, table):
     rmax = 20 * bound // 3
     checked = 0
     for n in range(1, bound // 3 + 1):
-        ln = ell(F, n, cache)
+        ln = ell(cache, n)
         hits = []
         v = 0
         for r in range(1, rmax + 1):
@@ -286,7 +286,7 @@ def _suite_low_rank_growth(F, bound, cache, table):
 def _suite_oracle_sieve(F, bound, cache, table):
     x = min(5000, 50 * bound // 3)
     for k in range(1, 7):
-        q = GcdQuery(F, k, cache=cache)
+        q = GcdQuery(cache, k)
         if count_oracle(q, x) != count_sieve(q, x):
             return False, f"k={k}, x={x}: oracle and sieve disagree"
     return True, f"counts agree for k <= 6 at x = {x}"
@@ -295,7 +295,7 @@ def _suite_oracle_sieve(F, bound, cache, table):
 def _suite_floor_identity(F, bound, cache, table):
     xs = (100, 1000, min(5000, 50 * bound // 3))
     for k in range(1, 7):
-        q = GcdQuery(F, k, cache=cache)
+        q = GcdQuery(cache, k)
         for x in xs:
             fi = floor_identity_B(q, x)
             cb = count_sieve(q, x)[1]
@@ -307,7 +307,7 @@ def _suite_floor_identity(F, bound, cache, table):
 def _suite_inclusion_exclusion(F, bound, cache, table):
     x = 2000
     for k in range(1, 7):
-        q = GcdQuery(F, k, cache=cache)
+        q = GcdQuery(cache, k)
         via_ie = count_A_inclusion_exclusion(q, x)
         ca = count_sieve(q, x)[0]
         if via_ie != ca:
@@ -320,9 +320,9 @@ def _suite_nonempty(F, bound, cache, table):
     g = _gcd_vector(F, xprobe, None)
     checked = 0
     for k in range(1, bound // 6 + 1):
-        q = GcdQuery(F, k, cache=cache)
+        q = GcdQuery(cache, k)
         nb, na = b_nonempty(q), a_nonempty(q)
-        lk = ell(F, k, cache)
+        lk = ell(cache, k)
         bmask = _b_mask(g[1:], k)
         bfirst = int(np.nonzero(bmask)[0][0]) + 1 if bmask.any() else None
         afirst = int(np.nonzero(g[1:] == k)[0][0]) + 1 if (g[1:] == k).any() else None
@@ -343,7 +343,7 @@ def _suite_nonempty(F, bound, cache, table):
 def _suite_series_cauchy(F, bound, cache, table):
     T = bound // 2
     for k in (1, 2, 5):
-        q = GcdQuery(F, k, cache=cache)
+        q = GcdQuery(cache, k)
         for fn in (series_density_B, series_density_A):
             s1, s2 = fn(q, T), fn(q, 2 * T)
             if abs(s2.value - s1.value) > s2.last_block + 1e-12:
@@ -370,7 +370,7 @@ def _suite_subset_collapse(F, bound, cache, table):
 def _suite_y_lower_bound(F, bound, cache, table):
     nicer = len(F.coeffs) > 1 and F.coeffs[1] == 0
     for k in (1, 2, 5):
-        q = GcdQuery(F, k, cache=cache)
+        q = GcdQuery(cache, k)
         for x in (100, 1000, min(5000, 50 * bound // 3)):
             y = y_k_lower_bound(q, x)
             ca, cb = count_sieve(q, x)
@@ -410,7 +410,7 @@ def run_suites(F: IntPolynomial, bound: int = 300) -> list[SuiteResult]:
     moduli to bound^2/9, joint checks to 20*bound/3, k to bound/6."""
     if bound < 30:
         raise ValueError("bound must be at least 30")
-    cache = OrdCache.for_poly(F)
+    cache = OrdCache(F)
     table = ord_table(F, bound * bound // 9)
     results = []
     for name, fn in _SUITES:

@@ -52,7 +52,7 @@ def test_acceptance_01_three_routes_agree():
     bad = []
     for F in POLYS:
         for k in GRID_K:
-            q = GcdQuery(F, k)
+            q = GcdQuery(OrdCache(F), k)
             for x in GRID_X:
                 o = count_oracle(q, x)
                 s = count_sieve(q, x)
@@ -69,7 +69,7 @@ def test_acceptance_02_exact_gcd_counts_agree():
     bad = []
     for F in POLYS:
         for k in GRID_K:
-            q = GcdQuery(F, k)
+            q = GcdQuery(OrdCache(F), k)
             for x in GRID_X:
                 if count_oracle(q, x)[0] != count_sieve(q, x)[0]:
                     bad.append((str(F), k, x))
@@ -77,8 +77,8 @@ def test_acceptance_02_exact_gcd_counts_agree():
 
 
 def test_acceptance_03_frozen_count_anchors():
-    got = {k: count_oracle(GcdQuery(F1, k), 100)[0] for k in (1, 2, 5)}
-    got[3] = count_oracle(GcdQuery(F1, 3), 10**4)[0]
+    got = {k: count_oracle(GcdQuery(OrdCache(F1), k), 100)[0] for k in (1, 2, 5)}
+    got[3] = count_oracle(GcdQuery(OrdCache(F1), 3), 10**4)[0]
     expected = {1: 47, 2: 46, 5: 3, 3: 0}
     _line(3, got == expected, f"x^2+1 anchors k=1,2,5 at x=100 and k=3 at x=10^4: {got} == {expected}")
 
@@ -94,7 +94,7 @@ def test_acceptance_04_invariant_suites():
 
 def test_acceptance_05_series_tracks_density_at_scale():
     t0 = time.time()
-    q = GcdQuery(F1, 1)
+    q = GcdQuery(OrdCache(F1), 1)
     truncs = {T: series_density_A(q, T) for T in (500, 1000, 2000)}
     ca, cb = count_sieve(q, 10**5)
     fi = floor_identity_B(q, 10**5)
@@ -150,7 +150,7 @@ def test_acceptance_07_anomalous_primes_are_injective():
 
 
 def test_acceptance_08_linear_form_desk_check():
-    q = GcdQuery(F1, 1, linear=(2, 1))
+    q = GcdQuery(OrdCache(F1), 1, linear=(2, 1))
     d13 = small_prime_hit_density(q, 13, 15000).exact
     d5 = small_prime_hit_density(q, 5, 15000).exact
     fractions_ok = (
@@ -168,12 +168,12 @@ def test_acceptance_08_linear_form_desk_check():
 def test_acceptance_09_nonemptiness_criteria():
     probe = 10**4
     g = _gcd_vector(F1, probe, None)
-    cache = OrdCache.for_poly(F1)
+    cache = OrdCache(F1)
     bad = []
     for k in range(1, 51):
-        q = GcdQuery(F1, k, cache=cache)
+        q = GcdQuery(cache, k)
         nb, na = b_nonempty(q), a_nonempty(q)
-        lk = ell(F1, k, cache)
+        lk = ell(cache, k)
         bm = _b_mask(g[1:], k)
         bfirst = int(np.nonzero(bm)[0][0]) + 1 if bm.any() else None
         am = g[1:] == k

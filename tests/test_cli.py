@@ -196,6 +196,35 @@ def test_corrupt_cache_exit_code(tmp_path, capsys):
     assert rc == 3 and out == "" and "999" in err
 
 
+def test_cache_that_is_not_utf8_exit_code(tmp_path, capsys):
+    cache = tmp_path / "c.csv"
+    cache.write_bytes(b"# poly=1,0,1\n# version=1\np,ord\n5,3\xff\n")
+    rc, out, err = run(capsys, "ord", "--poly", "x^2+1", "--n", "13", "--cache", str(cache))
+    assert rc == 3 and out == "" and "UTF-8" in err
+
+
+def test_cache_that_is_a_directory_exit_code(tmp_path, capsys):
+    rc, out, err = run(capsys, "ord", "--poly", "x^2+1", "--n", "13", "--cache", str(tmp_path))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "--poly", "x^2+1", "--n", "13"],
+    ["series", "--poly", "x^2+1", "--k", "1", "--T", "50"],
+])
+def test_unwritable_cache_exit_code_prints_nothing(tmp_path, capsys, argv):
+    # the cache's parent is a file, so the save fails after every answer
+    (tmp_path / "f").write_text("")
+    rc, out, err = run(capsys, *argv, "--cache", str(tmp_path / "f" / "c.csv"))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+def test_ord_refusing_a_later_n_prints_nothing(capsys):
+    rc, out, err = run(capsys, "ord", "--poly", "x^2+1", "--n", "13",
+                       "--n", "9223372036854775837")
+    assert rc == 2 and out == "" and "error" in err
+
+
 def test_cache_only_on_commands_that_use_it(capsys):
     for argv in (["verify", "--bound", "30"], ["classify", "--poly", "x^2+1"],
                  ["diag", "--poly", "x^2+1"]):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -12,7 +13,6 @@ from dyngcd import density_lab
 from dyngcd.arith_core import factorize
 from dyngcd.orbit_engine import (
     INF,
-    CacheMismatchError,
     OrdCache,
     PreperiodicOrbitError,
     a_mod,
@@ -24,6 +24,7 @@ from dyngcd.orbit_engine import (
 from dyngcd.density_lab import (
     GcdQuery,
     SelfCheckError,
+    _class_walk,
     _union_density,
     a_nonempty,
     b_nonempty,
@@ -53,17 +54,17 @@ F = parse_polynomial("x^2+1")
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        GcdQuery(F, 0)
+        GcdQuery(OrdCache(F), 0)
     with pytest.raises(ValueError):
-        GcdQuery(F, 1, linear=(2, 2))
+        GcdQuery(OrdCache(F), 1, linear=(2, 2))
     with pytest.raises(ValueError):
-        GcdQuery(F, 1, linear=(0, 1))
+        GcdQuery(OrdCache(F), 1, linear=(0, 1))
     with pytest.raises(PreperiodicOrbitError):
-        GcdQuery(parse_polynomial("x^2-2"), 1)
+        GcdQuery(OrdCache(parse_polynomial("x^2-2")), 1)
 
 
 def test_identity_only_operations():
-    lin = GcdQuery(F, 1, linear=(2, 1))
+    lin = GcdQuery(OrdCache(F), 1, linear=(2, 1))
     with pytest.raises(ValueError):
         count_sieve(lin, 100)
     with pytest.raises(ValueError):
@@ -73,14 +74,14 @@ def test_identity_only_operations():
 
 
 def test_membership_values():
-    q5 = GcdQuery(F, 5)
+    q5 = GcdQuery(OrdCache(F), 5)
     assert membership(q5, 15) == (15, 5, True, True)
     assert membership(q5, 45) == (45, 5, True, True)
     assert membership(q5, 26) == (26, 2, False, False)
     assert membership(q5, 52) == (52, 26, False, False)
-    assert membership(GcdQuery(F, 26), 52) == (52, 26, True, True)
+    assert membership(GcdQuery(OrdCache(F), 26), 52) == (52, 26, True, True)
     # gcd a power of the target prime counts for the closed set, not the exact one
-    q2 = GcdQuery(F, 2)
+    q2 = GcdQuery(OrdCache(F), 2)
     mv = membership(q2, 52)
     assert mv.g == 26 and not mv.in_A and not mv.in_B
     with pytest.raises(ValueError):
@@ -88,7 +89,7 @@ def test_membership_values():
 
 
 def test_membership_linear_form():
-    mv = membership(GcdQuery(F, 1, linear=(2, 1)), 12)
+    mv = membership(GcdQuery(OrdCache(F), 1, linear=(2, 1)), 12)
     assert mv.g == 5 and not mv.in_A
 
 
@@ -106,11 +107,11 @@ def _every_route(q: GcdQuery) -> tuple:
 
 def test_shared_cache_matches_fresh_queries():
     for G in DEFAULT_POLYS:
-        shared = OrdCache.for_poly(G)
+        shared = OrdCache(G)
         for k in (1, 2, 5, 10, 13):
-            q = GcdQuery(G, k, cache=shared)
+            q = GcdQuery(shared, k)
             assert q.cache is shared
-            assert _every_route(q) == _every_route(GcdQuery(G, k))
+            assert _every_route(q) == _every_route(GcdQuery(OrdCache(G), k))
         assert shared.ranks
 
 
@@ -127,13 +128,13 @@ def test_report_series_keep_every_term_past_64_bits():
     # ell(3107672507741) is about 1.2 * 10^16, and 18 terms of its T = 500
     # walk have an ell(t*k) past 64 bits; every one of them still counts
     k = 3107672507741
-    cache = OrdCache.for_poly(F)
-    rep = build_density_report(GcdQuery(F, k, cache=cache), 500, method="sieve")
+    cache = OrdCache(F)
+    rep = build_density_report(GcdQuery(cache, k), 500, method="sieve")
     assert rep.flags == []
     sum_b = sum_a = block = Fraction(0)
     for t in range(1, 501):
         mu = _squarefree_mu(t)
-        r = ord_crt(F, t * k, cache) if mu else INF
+        r = ord_crt(cache, t * k) if mu else INF
         if r == INF:
             continue
         term = Fraction(mu, math.lcm(t * k, r))
@@ -151,27 +152,22 @@ def test_report_series_keep_every_term_past_64_bits():
 
 def test_query_cache_follows_replace_and_stays_out_of_eq():
     # with_k is the one way to derive a query, and it keeps the cache
-    q = GcdQuery(F, 5)
+    q = GcdQuery(OrdCache(F), 5)
     sub = q.with_k(10)
-    assert sub == GcdQuery(F, 10) and sub.cache is q.cache
-    lin = GcdQuery(F, 1, linear=(2, 1), cache=q.cache).with_k(3)
+    assert sub == GcdQuery(OrdCache(F), 10) and sub.cache is q.cache
+    lin = GcdQuery(q.cache, 1, linear=(2, 1)).with_k(3)
     assert (lin.k, lin.linear, lin.cache) == (3, (2, 1), q.cache)
     with pytest.raises(ValueError):
         q.with_k(0)
     # equal and hashed by (F, k, linear) whatever the cache, and immutable
-    other = GcdQuery(F, 5, cache=OrdCache.for_poly(F))
+    other = GcdQuery(OrdCache(F), 5)
     assert q == other and hash(q) == hash(other) and q.cache is not other.cache
-    assert q != GcdQuery(F, 5, linear=(2, 1)) and q != GcdQuery(F, 6)
+    assert q != GcdQuery(OrdCache(F), 5, linear=(2, 1)) and q != GcdQuery(OrdCache(F), 6)
     assert repr(q) == "GcdQuery(F=IntPolynomial(coeffs=(1, 0, 1)), k=5, linear=None)"
     with pytest.raises(AttributeError):
         q.k = 6
     twin = pickle.loads(pickle.dumps(q))
-    assert twin == q and twin.cache.poly_key == q.cache.poly_key
-
-
-def test_query_refuses_a_cache_of_another_polynomial():
-    with pytest.raises(CacheMismatchError):
-        GcdQuery(F, 1, cache=OrdCache.for_poly(parse_polynomial("x^2+x+1")))
+    assert twin == q and twin.cache.F == q.cache.F
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ COUNTS_100 = {1: 47, 2: 46, 5: 3, 3: 0}
 
 @pytest.mark.parametrize("k,expected", sorted(COUNTS_100.items()))
 def test_counts_at_100(k, expected):
-    q = GcdQuery(F, k)
+    q = GcdQuery(OrdCache(F), k)
     assert count_oracle(q, 100) == (expected, expected)
     assert count_sieve(q, 100) == (expected, expected)
     assert floor_identity_B(q, 100) == expected
@@ -192,7 +188,7 @@ def test_counts_at_100(k, expected):
 def test_counts_at_1000():
     expected = {1: 465, 2: 448, 5: 33, 6: 0}
     for k, c in expected.items():
-        q = GcdQuery(F, k)
+        q = GcdQuery(OrdCache(F), k)
         assert count_sieve(q, 1000) == (c, c)
         assert count_oracle(q, 1000) == (c, c)
 
@@ -202,13 +198,13 @@ def test_counts_other_polynomials():
     F3 = parse_polynomial("x^3+x^2+1")
     for FF, expected in ((F2, {1: 817, 2: 0, 3: 153}), (F3, {1: 826, 2: 0, 3: 155})):
         for k, c in expected.items():
-            q = GcdQuery(FF, k)
+            q = GcdQuery(OrdCache(FF), k)
             assert count_sieve(q, 1000) == count_oracle(q, 1000) == (c, c)
 
 
 def test_cubic_sieve_at_3e5_within_budget():
     # a value table per prime made this bounded scan O(sum of p): 148 s
-    q = GcdQuery(parse_polynomial("x^3+x^2+1"), 1)
+    q = GcdQuery(OrdCache(parse_polynomial("x^3+x^2+1")), 1)
     t0 = time.perf_counter()
     counts = count_sieve(q, 300_000)
     assert time.perf_counter() - t0 < 5.0
@@ -217,20 +213,20 @@ def test_cubic_sieve_at_3e5_within_budget():
 
 
 def test_exact_gcd_members():
-    q5 = GcdQuery(F, 5)
+    q5 = GcdQuery(OrdCache(F), 5)
     members = [n for n in range(1, 101) if membership(q5, n).in_A]
     assert members == [15, 45, 75]
 
 
 def test_not_pretty_target_is_empty_everywhere():
-    q3 = GcdQuery(F, 3)
+    q3 = GcdQuery(OrdCache(F), 3)
     assert count_sieve(q3, 10**4) == (0, 0)
     assert floor_identity_B(q3, 10**4) == 0
 
 
 def test_inclusion_exclusion_route():
     for k in (2, 5, 6):
-        q = GcdQuery(F, k)
+        q = GcdQuery(OrdCache(F), k)
         assert count_A_inclusion_exclusion(q, 1500) == count_sieve(q, 1500)[0]
 
 
@@ -241,33 +237,33 @@ def test_inclusion_exclusion_route():
 
 def test_series_small_truncation_is_exact_fraction():
     # terms at T = 30: d in {1, 2, 5, 10, 13, 26} with ell(dk) finite
-    s = series_density_B(GcdQuery(F, 1), 30)
+    s = series_density_B(GcdQuery(OrdCache(F), 1), 30)
     assert s.value == pytest.approx(7 / 15, abs=1e-12)
     assert s.last_block == pytest.approx(float(Fraction(1, 52)), abs=1e-12)
 
 
 def test_series_A_equals_B_for_unit_target():
     for T in (30, 100):
-        sa = series_density_A(GcdQuery(F, 1), T)
-        sb = series_density_B(GcdQuery(F, 1), T)
+        sa = series_density_A(GcdQuery(OrdCache(F), 1), T)
+        sb = series_density_B(GcdQuery(OrdCache(F), 1), T)
         assert sa.value == sb.value
 
 
 def test_series_A_anchor():
-    s = series_density_A(GcdQuery(F, 5), 100)
+    s = series_density_A(GcdQuery(OrdCache(F), 5), 100)
     assert s.value == pytest.approx(0.0332171893, abs=1e-9)
 
 
 def test_series_cauchy_increment():
     for k in (1, 5):
-        q = GcdQuery(F, k)
+        q = GcdQuery(OrdCache(F), k)
         for fn in (series_density_A, series_density_B):
             s1, s2 = fn(q, 150), fn(q, 300)
             assert abs(s2.value - s1.value) <= s2.last_block + 1e-12
 
 
 def test_series_empty_for_not_pretty():
-    s = series_density_B(GcdQuery(F, 3), 200)
+    s = series_density_B(GcdQuery(OrdCache(F), 3), 200)
     assert s.value == 0.0 and s.last_block == 0.0
 
 
@@ -279,7 +275,7 @@ def test_series_empty_for_not_pretty():
 def test_nonempty_verdicts():
     witnesses = {1: 1, 2: 2, 5: 15, 10: 30, 26: 52}
     for k, w in witnesses.items():
-        q = GcdQuery(F, k)
+        q = GcdQuery(OrdCache(F), k)
         nb, na = b_nonempty(q), a_nonempty(q)
         assert nb.holds and nb.witness == w
         assert na.holds and na.witness == w
@@ -287,11 +283,11 @@ def test_nonempty_verdicts():
 
 
 def test_nonempty_rejections():
-    q3 = GcdQuery(F, 3)
+    q3 = GcdQuery(OrdCache(F), 3)
     assert not b_nonempty(q3).holds
     assert not a_nonempty(q3).holds
     # 13 is pretty, yet both sets are empty: every multiple of ell(13) is even
-    q13 = GcdQuery(F, 13)
+    q13 = GcdQuery(OrdCache(F), 13)
     nb, na = b_nonempty(q13), a_nonempty(q13)
     assert not nb.holds and nb.witness is None
     assert not na.holds
@@ -303,12 +299,12 @@ def test_a_nonempty_gcd_from_ranks_matches_the_orbit():
     """gcd(ell(k), a_ell(k)), read off the verdict, against a_mod."""
     checked = 0
     for G in DEFAULT_POLYS:
-        cache = OrdCache.for_poly(G)
+        cache = OrdCache(G)
         for k in range(1, 400):
-            lk = ell(G, k, cache)
+            lk = ell(cache, k)
             if lk == INF or lk > 10**4:
                 continue
-            na = a_nonempty(GcdQuery(G, k, cache=cache))
+            na = a_nonempty(GcdQuery(cache, k))
             g = int(na.reason.split(" = ")[1].split()[0])
             assert g == math.gcd(lk, a_mod(G, lk, lk)), (str(G), k)
             checked += 1
@@ -324,11 +320,11 @@ A8 = 44127887745906175987802  # a_8 for x^2+1
     (5 * A8, 2647673264754370559268120),
 ])
 def test_nonempty_witness_past_64_bits_is_exact(k, witness):
-    q = GcdQuery(F, k)
+    q = GcdQuery(OrdCache(F), k)
     nb, na = b_nonempty(q), a_nonempty(q)
     assert nb.holds and nb.witness == witness
     assert na.holds and na.witness == witness
-    assert witness == ell(F, k, q.cache)
+    assert witness == ell(q.cache, k)
     # gcd(witness, a_witness) as the product of p^v over the primes of the
     # witness, with v = nu_p(a_witness) capped at nu_p(witness)
     primes = set(factorize(A8).prime_set()) | {2, 3, 5}
@@ -348,7 +344,7 @@ def test_nonempty_witness_past_64_bits_is_exact(k, witness):
 
 
 def test_avoidance_set_unit_target():
-    lset, partial = build_Lk(GcdQuery(F, 1), 60)
+    lset, partial = build_Lk(GcdQuery(OrdCache(F), 1), 60)
     assert lset.elements == (2, 15, 52)
     assert lset.prime_elements == ()
     assert lset.ratio_sources == {2: 2, 15: 5, 52: 13}
@@ -356,7 +352,7 @@ def test_avoidance_set_unit_target():
 
 
 def test_avoidance_set_k2():
-    lset, _ = build_Lk(GcdQuery(F, 2), 60)
+    lset, _ = build_Lk(GcdQuery(OrdCache(F), 2), 60)
     assert lset.elements == (2, 15, 26)
     assert lset.prime_elements == (2,)
     assert lset.ratio_sources == {15: 5, 26: 13}
@@ -370,16 +366,16 @@ def test_non_multiples_count():
 
 
 def test_lower_bound_values():
-    assert y_k_lower_bound(GcdQuery(F, 1), 100) == 47
-    assert y_k_lower_bound(GcdQuery(F, 1), 1000) == 465
-    assert y_k_lower_bound(GcdQuery(F, 2), 100) == 23
-    assert y_k_lower_bound(GcdQuery(F, 5), 1000) == 26
-    assert y_k_lower_bound(GcdQuery(F, 3), 1000) == 0
+    assert y_k_lower_bound(GcdQuery(OrdCache(F), 1), 100) == 47
+    assert y_k_lower_bound(GcdQuery(OrdCache(F), 1), 1000) == 465
+    assert y_k_lower_bound(GcdQuery(OrdCache(F), 2), 100) == 23
+    assert y_k_lower_bound(GcdQuery(OrdCache(F), 5), 1000) == 26
+    assert y_k_lower_bound(GcdQuery(OrdCache(F), 3), 1000) == 0
 
 
 def test_lower_bound_stays_below_counts():
     for k in (1, 2, 5):
-        q = GcdQuery(F, k)
+        q = GcdQuery(OrdCache(F), k)
         for x in (100, 500, 2000):
             y = y_k_lower_bound(q, x)
             ca, cb = count_sieve(q, x)
@@ -393,7 +389,7 @@ def test_lower_bound_stays_below_counts():
 
 
 def test_hit_density_exact_fractions():
-    q = GcdQuery(F, 1, linear=(2, 1))
+    q = GcdQuery(OrdCache(F), 1, linear=(2, 1))
     assert small_prime_hit_density(q, 2, 1000).exact == 0
     assert small_prime_hit_density(q, 5, 15000).exact == Fraction(1, 15)
     hd = small_prime_hit_density(q, 13, 15000)
@@ -402,14 +398,14 @@ def test_hit_density_exact_fractions():
 
 
 def test_hit_density_marked_matches_exact_on_full_period():
-    q = GcdQuery(F, 1, linear=(2, 1))
+    q = GcdQuery(OrdCache(F), 1, linear=(2, 1))
     hd = small_prime_hit_density(q, 5, 15000)  # 15 | 15000
     assert Fraction(hd.marked_count, hd.x) == hd.exact
 
 
 def test_hit_density_requires_linear():
     with pytest.raises(ValueError):
-        small_prime_hit_density(GcdQuery(F, 1), 5, 100)
+        small_prime_hit_density(GcdQuery(OrdCache(F), 1), 5, 100)
 
 
 def test_union_density_inclusion_exclusion():
@@ -435,10 +431,29 @@ def test_union_density_matches_count_over_one_period(progs):
     assert _union_density(progs) == Fraction(hit, period)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(progs=st.lists(residue_classes, max_size=9), budget=st.integers(1, 40))
+def test_union_density_stops_early_exactly_when_the_walk_would(progs, budget):
+    # the walk's own verdict: more than budget nodes past the empty subset
+    walk = _class_walk([(1, r, m) for r, m in progs], (0, 1), INF, INF)
+    over = sum(1 for _ in itertools.islice(walk, 1, budget + 2)) > budget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density_lab, "_UNION_NODE_MAX", budget)
+        got = _union_density(progs)
+    assert (got is None) == over
+
+
+def test_union_density_over_budget_returns_before_walking(monkeypatch):
+    # three classes that meet pairwise give 7 nodes, past a budget of 6
+    monkeypatch.setattr(density_lab, "_UNION_NODE_MAX", 6)
+    monkeypatch.setattr(density_lab, "_class_walk", None)
+    assert _union_density([(0, 2), (1, 3), (0, 5)]) is None
+
+
 def test_union_density_over_budget_falls_back_to_marked_density(monkeypatch):
     monkeypatch.setattr(density_lab, "_UNION_NODE_MAX", 2)
     assert _union_density([(0, 2), (0, 3), (0, 5)]) is None
-    q = GcdQuery(F, 1, linear=(2, 1))
+    q = GcdQuery(OrdCache(F), 1, linear=(2, 1))
     # two classes and their intersection: three nodes
     hd = small_prime_hit_density(q, 13, 2000)
     assert hd.exact is None and len(hd.progressions) == 2
@@ -447,7 +462,7 @@ def test_union_density_over_budget_falls_back_to_marked_density(monkeypatch):
 
 
 def test_coprime_report():
-    q = GcdQuery(F, 1, linear=(2, 1))
+    q = GcdQuery(OrdCache(F), 1, linear=(2, 1))
     rep = linear_coprime_report(q, 2000, (5, 13))
     assert rep.count_coprime == 1821
     assert rep.density == pytest.approx(0.9105)
@@ -461,9 +476,9 @@ def test_coprime_report():
 
 def test_coprime_report_requires_linear_unit():
     with pytest.raises(ValueError):
-        linear_coprime_report(GcdQuery(F, 1), 100, (5,))
+        linear_coprime_report(GcdQuery(OrdCache(F), 1), 100, (5,))
     with pytest.raises(ValueError):
-        linear_coprime_report(GcdQuery(F, 2), 100, (5,))
+        linear_coprime_report(GcdQuery(OrdCache(F), 2), 100, (5,))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +487,7 @@ def test_coprime_report_requires_linear_unit():
 
 
 def test_density_report_fields():
-    rep = build_density_report(GcdQuery(F, 5), 1000, method="both", T=400)
+    rep = build_density_report(GcdQuery(OrdCache(F), 5), 1000, method="both", T=400)
     assert rep.count_A == rep.count_B == rep.floor_identity == 33
     assert rep.nonempty_A and rep.nonempty_B and rep.witness == 15
     assert rep.flags == []
@@ -484,14 +499,14 @@ def test_density_report_fields():
 
 
 def test_density_report_json_deterministic():
-    a = build_density_report(GcdQuery(F, 2), 500, method="both", T=100).to_json()
-    b = build_density_report(GcdQuery(F, 2), 500, method="both", T=100).to_json()
+    a = build_density_report(GcdQuery(OrdCache(F), 2), 500, method="both", T=100).to_json()
+    b = build_density_report(GcdQuery(OrdCache(F), 2), 500, method="both", T=100).to_json()
     assert a == b
     assert a.index('"count_A"') < a.index('"count_B"') < a.index('"poly"')
 
 
 def test_density_report_checkpoints_csv():
-    rep = build_density_report(GcdQuery(F, 1), 1000, method="sieve", T=100)
+    rep = build_density_report(GcdQuery(OrdCache(F), 1), 1000, method="sieve", T=100)
     lines = rep.checkpoints_csv().strip().split("\n")
     assert lines[0] == "x,count_A,count_B,ratio_A,ratio_B"
     assert lines[-1] == "1000,465,465,0.465000000,0.465000000"
@@ -506,22 +521,22 @@ def test_report_checkpoints_match_fresh_counts(poly, x):
     G = parse_polynomial(poly)
     straddles = 0
     for k in range(1, 31):
-        q = GcdQuery(G, k)
+        q = GcdQuery(OrdCache(G), k)
         rep = build_density_report(q, x, method="sieve", T=8)
         want = []
         for cx in (x // 4, x // 2, x):
-            fresh = count_sieve(GcdQuery(G, k), cx)
+            fresh = count_sieve(GcdQuery(OrdCache(G), k), cx)
             if x <= 8000:
                 assert fresh == count_oracle(q, cx)
             want.append((cx, *fresh))
         assert rep.checkpoints == want
-        straddles += x // 4 < ell(G, k) <= x
+        straddles += x // 4 < ell(OrdCache(G), k) <= x
     if x == 200 and poly != "x^2+x+1":
         assert straddles  # some ell(k) lands between the first and last checkpoint
 
 
 def test_density_report_not_pretty_flag():
-    rep = build_density_report(GcdQuery(F, 3), 500, method="both", T=100)
+    rep = build_density_report(GcdQuery(OrdCache(F), 3), 500, method="both", T=100)
     assert rep.count_A == 0 and not rep.nonempty_B
     assert any("not pretty" in f for f in rep.flags)
 

@@ -42,6 +42,7 @@ from dyngcd.orbit_engine import (
     ell,
     first_zero_scan,
     ord_crt,
+    ord_direct,
     ord_direct_capped,
     ord_table,
 )
@@ -222,6 +223,27 @@ def test_ord_table_matches_plain_iteration(F, limit):
     assert t[1] == 1
     for n in range(2, limit + 1):
         assert t[n] == (plain_first_zero(F, n, n) or 0)
+
+
+# prime powers up to 2000, so that p is often ranked (and cached) before p^e
+PRIME_POWERS = (4, 8, 16, 64, 512, 1024, 9, 27, 243, 25, 125, 625, 49, 343, 121, 169, 289)
+
+
+@PROPS
+@given(
+    F=polys(ANY_COEFF),
+    ns=st.lists(
+        st.one_of(st.integers(1, 2000), st.sampled_from(PRIME_POWERS)), min_size=1, max_size=40
+    ),
+)
+def test_shared_rank_context_matches_direct_and_fresh(F, ns):
+    # one context queried in the drawn order, against ord_direct and a fresh
+    # context per query
+    shared = OrdCache(F)
+    for n in ns:
+        r = ord_crt(shared, n)
+        assert r == ord_direct(F, n) == ord_crt(OrdCache(F), n)
+        assert ell(shared, n) == ell(OrdCache(F), n) == (INF if r == INF else math.lcm(n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +521,13 @@ SMALL_K = st.one_of(st.integers(1, 6), st.integers(1, 30))
 def plain_series(F: IntPolynomial, k: int, T: int, coprime: bool) -> tuple[float, float]:
     """sum of mu(t) / ell(t*k) over squarefree t <= T (coprime to k when
     asked), in ascending t, and the same sum of 1/ell over T/2 < t <= T."""
-    cache = OrdCache.for_poly(F)
+    cache = OrdCache(F)
     total = block = 0.0
     for t in range(1, T + 1):
         factors = factorize(t).factors
         if any(e > 1 for _, e in factors) or (coprime and math.gcd(t, k) > 1):
             continue
-        lt = ell(F, t * k, cache)
+        lt = ell(cache, t * k)
         if lt == INF:
             continue
         total += (-1) ** len(factors) / lt
@@ -522,7 +544,7 @@ def close(got: float, want: float) -> bool:
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(F=WANDERING, k=SMALL_K, x=st.integers(1, 600))
 def test_floor_identity_matches_oracle(F, k, x):
-    q = GcdQuery(F, k)
+    q = GcdQuery(OrdCache(F), k)
     assert floor_identity_B(q, x) == count_oracle(q, x)[1]
 
 
@@ -533,14 +555,14 @@ SIEVE_K = st.one_of(st.sampled_from((4, 8, 9, 12, 18, 25, 27, 50)), st.integers(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(F=WANDERING, k=SIEVE_K, x=st.integers(1, 1500))
 def test_sieve_matches_oracle(F, k, x):
-    q = GcdQuery(F, k)
+    q = GcdQuery(OrdCache(F), k)
     assert count_sieve(q, x) == count_oracle(q, x)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(F=WANDERING, k=SMALL_K, T=st.integers(1, 300))
 def test_series_match_plain_loop_over_squarefree_t(F, k, T):
-    q = GcdQuery(F, k)
+    q = GcdQuery(OrdCache(F), k)
     for fn, coprime in ((series_density_B, True), (series_density_A, False)):
         got = fn(q, T)
         want = plain_series(F, k, T, coprime)
@@ -551,7 +573,7 @@ def test_series_match_plain_loop_over_squarefree_t(F, k, T):
 @given(F=WANDERING, k=SMALL_K, T=st.integers(1, 400))
 def test_series_checkpoints_match_one_truncation_at_a_time(F, k, T):
     # one walk to T against one walk per truncation, bit for bit
-    q = GcdQuery(F, k)
+    q = GcdQuery(OrdCache(F), k)
     series_b, series_a = series_checkpoints(q, T)
     assert [s.T for s in series_b] == [s.T for s in series_a] == sorted({T // 4, T // 2, T} - {0})
     for checkpoints, fn in ((series_b, series_density_B), (series_a, series_density_A)):
@@ -569,7 +591,7 @@ def test_series_checkpoints_match_one_truncation_at_a_time(F, k, T):
 def test_rank_of_a_prime_near_1e9_within_seconds():
     F = IntPolynomial((1, 0, 1))
     t0 = time.perf_counter()
-    r = ord_crt(F, 10**9 + 7)
+    r = ord_crt(OrdCache(F), 10**9 + 7)
     assert time.perf_counter() - t0 < 5.0
     assert r == INF
     # independent certificate: walk the orbit, remembering every value, until

@@ -157,7 +157,7 @@ def test_rank_anchors():
     expected = {2: 2, 5: 3, 13: 4, 10: 6, 677: 5, 45833: 6, 3: INF, 4: INF, 12: INF}
     for n, r in expected.items():
         assert ord_direct(F, n) == r
-        assert ord_crt(F, n) == r
+        assert ord_crt(OrdCache(F), n) == r
 
 
 def test_rank_capped_three_states():
@@ -176,7 +176,7 @@ def test_finite_rank_at_most_modulus():
 def test_crt_matches_direct_scan():
     t = ord_table(F, 400)
     for n in range(2, 401):
-        assert ord_crt(F, n) == (INF if t[n] == 0 else int(t[n]))
+        assert ord_crt(OrdCache(F), n) == (INF if t[n] == 0 else int(t[n]))
 
 
 def test_rank_other_polynomials():
@@ -194,7 +194,7 @@ def test_rank_other_polynomials():
 def test_joint_rank_anchors():
     expected = {1: 1, 2: 2, 5: 15, 13: 52, 26: 52, 10: 30, 45833: 274998, 3: INF}
     for n, le in expected.items():
-        assert ell(F, n) == le
+        assert ell(OrdCache(F), n) == le
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +246,16 @@ def test_ord_table_basics():
 
 
 def test_cache_round_trip(tmp_path):
-    c = OrdCache.for_poly(F)
+    c = OrdCache(F)
     c.put(5, 3)
     c.put(3, INF)
     for n in (1, 2, 13, 25, 65, 2**20):
         c.rank_of(F, n)
     path = tmp_path / "ranks.csv"
     c.save(path)
-    c2 = OrdCache.load(path, expect=F)
-    assert c2.poly_key == c.poly_key == "1,0,1" and c2.ranks == c.ranks
+    c2 = OrdCache.load(path, F)
+    assert path.read_text().startswith("# poly=1,0,1\n")
+    assert c2.F == c.F == F and c2.ranks == c.ranks
     assert c2.ranks.get(5) == 3
     assert c2.ranks.get(3) == INF
     assert c2.ranks.get(7) is None
@@ -263,21 +264,21 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_conflict_and_poly_mismatch(tmp_path):
-    c = OrdCache.for_poly(F)
+    c = OrdCache(F)
     c.put(5, 3)
     with pytest.raises(CacheMismatchError):
         c.put(5, 4)
     path = tmp_path / "ranks.csv"
     c.save(path)
     with pytest.raises(CacheMismatchError):
-        OrdCache.load(path, expect=parse_polynomial("x^2+x+1"))
+        OrdCache.load(path, parse_polynomial("x^2+x+1"))
 
 
 def test_cache_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("p,ord\n5,3\n")
     with pytest.raises(CacheMismatchError):
-        OrdCache.load(path, expect=F)
+        OrdCache.load(path, F)
 
 
 @pytest.mark.parametrize(
@@ -287,12 +288,12 @@ def test_cache_load_refuses_impossible_entries(tmp_path, body):
     path = tmp_path / "ranks.csv"
     path.write_text(f"# poly=1,0,1\n# version=1\np,ord\n{body}")
     with pytest.raises(CacheMismatchError):
-        OrdCache.load(path, expect=F)
+        OrdCache.load(path, F)
 
 
 def test_cache_save_replaces_atomically(tmp_path):
     path = tmp_path / "ranks.csv"
-    c = OrdCache.for_poly(F)
+    c = OrdCache(F)
     c.put(5, 3)
     c.save(path)
     before = path.read_text()
@@ -304,9 +305,16 @@ def test_cache_save_replaces_atomically(tmp_path):
 
 
 def test_cache_rank_of_computes_and_stores():
-    c = OrdCache.for_poly(F)
+    c = OrdCache(F)
     assert c.rank_of(F, 13) == 4
     assert c.ranks.get(13) == 4
+
+
+def test_rank_of_refuses_another_polynomial():
+    c = OrdCache(F)
+    with pytest.raises(CacheMismatchError):
+        c.rank_of(parse_polynomial("x^2+x+1"), 13)
+    assert c.ranks == {}
 
 
 # ---------------------------------------------------------------------------

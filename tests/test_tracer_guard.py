@@ -56,7 +56,7 @@ def test_rank_cache_keeps_what_install_patches():
     assert isinstance(cls.__dict__["load"], classmethod)
     assert _params(cls.save) == ["self", "path"]
     assert _params(cls.__dict__["load"].__func__)[:2] == ["cls", "path"]
-    assert cls.for_poly(orbit_engine.parse_polynomial("x^2+1")).ranks == {}
+    assert cls(orbit_engine.parse_polynomial("x^2+1")).ranks == {}
 
 
 def test_verify_import_loads_the_layers_install_reads():
