@@ -33,14 +33,12 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "DensityReport", "GcdQuery", "LkSet", "MembershipVerdict",
-            "NonemptyVerdict", "SelfCheckError", "SeriesTruncation", "a_nonempty",
-            "b_nonempty", "build_Lk", "build_density_report",
-            "count_A_inclusion_exclusion", "count_oracle", "count_sieve",
-            "floor_identity_B", "linear_coprime_report", "membership",
-            "non_multiples_count", "series_checkpoints", "series_density_A",
-            "series_density_B",
-            "small_prime_hit_density", "y_k_lower_bound",
+            "DensityReport", "GcdQuery", "MembershipVerdict", "NonemptyVerdict",
+            "SelfCheckError", "SeriesTruncation", "a_nonempty", "b_nonempty",
+            "build_density_report", "count_A_inclusion_exclusion", "count_oracle",
+            "count_sieve", "floor_identity_B", "linear_coprime_report",
+            "membership", "series_checkpoints", "series_density_A",
+            "series_density_B", "small_prime_hit_density", "y_k_lower_bound",
         ),
         "density_lab",
     ),

@@ -533,67 +533,24 @@ def a_nonempty(q: GcdQuery) -> NonemptyVerdict:
 
 
 # ---------------------------------------------------------------------------
-# divisor-avoidance lower bound
+# avoidance lower bound
 # ---------------------------------------------------------------------------
 
 
-class LkSet(NamedTuple):
-    """The avoidance set for k up to a bound: the primes dividing k, plus the
-    ratios ell(k*p)/ell(k) contributed by pretty primes p not dividing k.
-    ratio_sources maps each ratio element to the smallest prime producing it."""
-
-    k: int
-    bound: int
-    elements: tuple[int, ...]
-    prime_elements: tuple[int, ...]
-    ratio_sources: dict[int, int]
-
-
-def build_Lk(q: GcdQuery, bound: int) -> tuple[LkSet, float]:
-    """The avoidance set with all elements <= bound drawn from primes
-    p <= bound, together with sum 1/s over its elements (the convergence
-    gauge: a finite sum keeps the avoiding set positive-density)."""
-    q._identity_only("build_Lk")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    k = q.k
-    lk = ell(q.cache, k)
-    if lk == INF:
-        raise ValueError("avoidance set needs pretty k")
-    prime_elements = tuple(p for p in factorize(k).prime_set() if p <= bound)
-    ratio_sources: dict[int, int] = {}
-    for p, _, m in _hit_classes(q, scan_primes(q.F, 2, bound), coprime_to=k):
-        r = math.lcm(m, lk) // lk  # ell(p*k) = lcm(ell(p), ell(k)) for p not dividing k
-        if r <= bound and r not in ratio_sources:
-            ratio_sources[r] = p
-    elements = tuple(sorted(set(prime_elements) | set(ratio_sources)))
-    partial = float(sum(Fraction(1, s) for s in elements)) if elements else 0.0
-    return LkSet(k, bound, elements, prime_elements, ratio_sources), partial
-
-
-def non_multiples_count(elements, x: int) -> int:
-    """#{1 <= m <= x : no s in elements divides m}; elements must be >= 2."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    elems = set(int(s) for s in elements)
-    if any(s < 2 for s in elems):
-        raise ValueError("elements must all be >= 2")
-    hit = _class_sieve([(s, 0, s) for s in elems], (0, 1), x)
-    return x - int(np.count_nonzero(hit[1:]))
-
-
 def y_k_lower_bound(q: GcdQuery, x: int) -> int:
-    """#(ell(k) * N(L_k)) up to x: a certified lower bound for #B(x), and for
-    #A(x) when F has zero linear coefficient (rigid divisibility)."""
+    """#{n <= x in B(k) : gcd(n / ell(k), k) = 1}: the B sieve with the
+    class 0 mod p*ell(k) of each prime p | k marked as well.  A certified
+    lower bound for #B(x), and for #A(x) when F has zero linear coefficient
+    (rigid divisibility).  The scan is spelled as _sieve_counts spells it,
+    so that the two share it."""
     q._identity_only("y_k_lower_bound")
     lk = ell(q.cache, q.k)
     if lk == INF or lk > x:
         return 0
-    lset, _ = build_Lk(q, x)
-    if 1 in lset.elements:
-        return 0
+    pool = _hit_classes(q, scan_primes(q.F, 2, x, sieve_bound=x), coprime_to=q.k)
+    pool += [(p, 0, p * lk) for p in factorize(q.k).prime_set()]
     M = x // lk
-    return non_multiples_count([s for s in lset.elements if s <= M], M)
+    return M - int(np.count_nonzero(_class_sieve(pool, (0, lk), M)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +647,7 @@ class CoprimeReport(NamedTuple):
 def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
     """Count gcd(a*n+b, a_n) = 1 up to x and check it against the bound
 
-        density >= 1 - delta_z - sum over pretty p in (z, a*x+b] of 1/(p ord(p))
+        density >= 1 - delta_z - sum over pretty p in (z, a*x+b] of 1/ell(p)
 
     at every z in the schedule, with a boundary allowance of one index per
     progression (a progression mod M meets [1, x] at most x/M + 1 times).
@@ -720,7 +677,7 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
         n_tail = 0
         for p, op in tail_pool:
             if z < p <= pmax and a % p != 0:
-                residual += 1.0 / (p * op)
+                residual += 1.0 / math.lcm(p, op)
                 n_tail += 1
         allowance = (len(hd.progressions) + n_tail) / x
         lower = 1.0 - hit - residual - allowance

@@ -51,8 +51,6 @@ from .orbit_engine import (
     require_wandering,
 )
 
-_TABLE_PRIME_MAX = 2**31
-
 
 def is_injective_mod_p(F: IntPolynomial, p: int) -> bool:
     """Whether x -> F(x) is a bijection of the residues mod p.
@@ -79,7 +77,7 @@ def is_injective_mod_p(F: IntPolynomial, p: int) -> bool:
         return True
     if e == 2 and p > 2:
         return False
-    if p >= _TABLE_PRIME_MAX:
+    if p >= _VEC_MODULUS_MAX:
         raise ValueError("injectivity table limited to p below 2^31")
     check_int64_horner(F.coeffs, p)
     vals = _horner_vec(F.coeffs, np.arange(p, dtype=np.int64), np.int64(p))

@@ -164,11 +164,8 @@ def _suite_joint_rank_lcm(F, bound, cache, table):
             L = math.lcm(n, m)
             if L > tlim:
                 continue
-            ln, lm, lL = (
-                _ell_from_table(table, n) if n > 1 else 1,
-                _ell_from_table(table, m) if m > 1 else 1,
-                _ell_from_table(table, L) if L > 1 else 1,
-            )
+            ln, lm = _ell_from_table(table, n), _ell_from_table(table, m)
+            lL = _ell_from_table(table, L)
             expect = INF if (ln == INF or lm == INF) else math.lcm(int(ln), int(lm))
             if lL != expect:
                 return False, f"ell(lcm({n},{m})) = {lL}, expected {expect}"

@@ -145,6 +145,17 @@ def test_coprime_json(capsys):
     assert len(decoded["checkpoints"]) == 2
 
 
+def test_coprime_anomalous_tail_prime(capsys):
+    # x^3+1 has ord(3) = 3, so ell(3) = 3 and 3 | 2n+3 exactly when 3 | n:
+    # the tail charges 1/ell(3) = 1/3 for it, not 1/(3 ord(3)) = 1/9
+    rc, out, err = run(
+        capsys, "coprime", "--poly", "x^3+1", "--a", "2", "--b", "3",
+        "--x", "2000", "--z", "2",
+    )
+    assert (rc, err) == (0, "")
+    assert out.endswith("residual 0.450641  lower_bound 0.399359\n")
+
+
 def test_verify_small_bound(capsys):
     rc, out, _ = run(capsys, "verify", "--poly", "x^2+1", "--bound", "30")
     assert rc == 0

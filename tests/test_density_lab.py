@@ -28,7 +28,6 @@ from dyngcd.density_lab import (
     _union_density,
     a_nonempty,
     b_nonempty,
-    build_Lk,
     build_density_report,
     count_A_inclusion_exclusion,
     count_oracle,
@@ -36,12 +35,12 @@ from dyngcd.density_lab import (
     floor_identity_B,
     linear_coprime_report,
     membership,
-    non_multiples_count,
     series_density_A,
     series_density_B,
     small_prime_hit_density,
     y_k_lower_bound,
 )
+from dyngcd.prime_lab import scan_primes
 from dyngcd.verify import DEFAULT_POLYS
 
 F = parse_polynomial("x^2+1")
@@ -339,30 +338,8 @@ def test_nonempty_witness_past_64_bits_is_exact(k, witness):
 
 
 # ---------------------------------------------------------------------------
-# avoidance sets and the lower bound
+# the avoidance lower bound
 # ---------------------------------------------------------------------------
-
-
-def test_avoidance_set_unit_target():
-    lset, partial = build_Lk(GcdQuery(OrdCache(F), 1), 60)
-    assert lset.elements == (2, 15, 52)
-    assert lset.prime_elements == ()
-    assert lset.ratio_sources == {2: 2, 15: 5, 52: 13}
-    assert partial == pytest.approx(1 / 2 + 1 / 15 + 1 / 52)
-
-
-def test_avoidance_set_k2():
-    lset, _ = build_Lk(GcdQuery(OrdCache(F), 2), 60)
-    assert lset.elements == (2, 15, 26)
-    assert lset.prime_elements == (2,)
-    assert lset.ratio_sources == {15: 5, 26: 13}
-
-
-def test_non_multiples_count():
-    assert non_multiples_count((2, 15, 52), 100) == 47
-    assert non_multiples_count((), 10) == 10
-    with pytest.raises(ValueError):
-        non_multiples_count((1, 2), 10)
 
 
 def test_lower_bound_values():
@@ -371,6 +348,15 @@ def test_lower_bound_values():
     assert y_k_lower_bound(GcdQuery(OrdCache(F), 2), 100) == 23
     assert y_k_lower_bound(GcdQuery(OrdCache(F), 5), 1000) == 26
     assert y_k_lower_bound(GcdQuery(OrdCache(F), 3), 1000) == 0
+
+
+def test_lower_bound_reuses_the_sieve_scan():
+    # spelled as count_sieve spells it, the scan is a scan_primes cache hit
+    q = GcdQuery(OrdCache(F), 2)
+    count_sieve(q, 1237)
+    misses = scan_primes.cache_info().misses
+    y_k_lower_bound(q, 1237)
+    assert scan_primes.cache_info().misses == misses
 
 
 def test_lower_bound_stays_below_counts():

@@ -19,6 +19,7 @@ import dyngcd
 from dyngcd.arith_core import crt_pair, factorize
 from dyngcd.density_lab import (
     GcdQuery,
+    _b_mask,
     _class_sieve,
     _class_walk,
     _gcd_vector,
@@ -28,6 +29,7 @@ from dyngcd.density_lab import (
     series_checkpoints,
     series_density_A,
     series_density_B,
+    y_k_lower_bound,
 )
 from dyngcd.orbit_engine import (
     INF,
@@ -557,6 +559,16 @@ SIEVE_K = st.one_of(st.sampled_from((4, 8, 9, 12, 18, 25, 27, 50)), st.integers(
 def test_sieve_matches_oracle(F, k, x):
     q = GcdQuery(OrdCache(F), k)
     assert count_sieve(q, x) == count_oracle(q, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(F=WANDERING, k=SIEVE_K, x=st.integers(1, 1500))
+def test_avoidance_bound_counts_B_off_the_multiples_of_k_primes(F, k, x):
+    # the members n of B(k) up to x whose cofactor n / ell(k) is prime to k
+    q = GcdQuery(OrdCache(F), k)
+    members = np.flatnonzero(_b_mask(_gcd_vector(F, x, None)[1:], k)) + 1
+    want = sum(math.gcd(n // ell(q.cache, k), k) == 1 for n in members.tolist())
+    assert y_k_lower_bound(q, x) == want
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
