@@ -214,20 +214,22 @@ def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
 def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
     """count_sieve at every cut-off cx <= x in cuts, from one bounded scan at
     x.  Whether n is a member does not depend on the cut-off, so each count
-    is a prefix count of the sieve at x: alive[j] stands for n = j * ell(k),
-    and the count at cx reads alive[: cx // ell(k) + 1]."""
+    is a prefix count of the sieve at x: hit[j] stands for n = j * ell(k),
+    and the count at cx reads hit[: cx // ell(k) + 1].  The A classes are
+    marked into the same array once the B counts are read, since A(k) is
+    the part of B(k) outside them."""
     lk = ell(q.cache, q.k)
     if lk == INF or lk > x:
         return [(0, 0)] * len(cuts)
-    M = x // lk
     scan = scan_primes(q.F, 2, x, sieve_bound=x)
-    alive = ~_class_sieve(_hit_classes(q, scan, coprime_to=q.k), (0, lk), M)
-    alive[0] = False
+    hit = np.zeros(x // lk + 1, dtype=bool)
+    hit[0] = True  # n = 0 is no index
     ends = [cx // lk + 1 for cx in cuts]
-    counts_b = [int(np.count_nonzero(alive[:end])) for end in ends]
-    alive &= ~_class_sieve(_A_classes(q, x), (0, lk), M)
+    _class_sieve(_hit_classes(q, scan, coprime_to=q.k), (0, lk), hit)
+    counts_b = [end - int(np.count_nonzero(hit[:end])) for end in ends]
+    _class_sieve(_A_classes(q, x), (0, lk), hit)
     return [
-        (int(np.count_nonzero(alive[:end])), cb) for end, cb in zip(ends, counts_b)
+        (end - int(np.count_nonzero(hit[:end])), cb) for end, cb in zip(ends, counts_b)
     ]
 
 
@@ -236,32 +238,22 @@ def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _pretty_prime_pool(
-    q: GcdQuery, scan, coprime_to: int = 1
-) -> list[tuple[int, int]]:
-    """(p, ord(p)) for every prime of a scan_primes result whose rank the
-    scan found finite, leaving out the primes dividing coprime_to; each rank
-    goes into q's cache.  Callers spell each scan the same way, since
-    lru_cache keys on the spelling."""
-    keep = scan.pretty
-    for p in factorize(coprime_to).prime_set():
-        keep = keep & (scan.p != p)
-    pool = list(zip(scan.p[keep].tolist(), scan.ord[keep].tolist()))
-    for p, r in pool:
-        q.cache.put(p, r)
-    return pool
-
-
 def _hit_classes(q: GcdQuery, scan, coprime_to: int = 1) -> list[tuple[int, int, int]]:
     """(p, r, m) for every pretty prime p of a scan_primes result that can
     divide gcd(G(n), a_n), leaving out the primes dividing coprime_to: p
     divides it exactly when n = r (mod m), the CRT of G(n) = 0 (mod p) with
     ord(p) | n.  G(x) = x is the form (1, 0), whose class is 0 mod ell(p).
     A prime drops out when p | a (p never divides a*n+b) or when the two
-    congruences do not meet (p | a_n forces p | n, against p | a*n+b)."""
+    congruences do not meet (p | a_n forces p | n, against p | a*n+b).
+    Every rank the scan found finite goes into q's cache.  Callers spell
+    each scan the same way, since lru_cache keys on the spelling."""
     a, b = q.linear or (1, 0)
+    keep = scan.pretty
+    for p in factorize(coprime_to).prime_set():
+        keep = keep & (scan.p != p)
     pool = []
-    for p, op in _pretty_prime_pool(q, scan, coprime_to):
+    for p, op in zip(scan.p[keep].tolist(), scan.ord[keep].tolist()):
+        q.cache.put(p, op)
         if a % p:
             sol = crt_pair(-b * pow(a, -1, p) % p, p, 0, op)
             if sol is not None:
@@ -286,14 +278,15 @@ def _A_classes(q: GcdQuery, bound) -> list[tuple[int, int, int]]:
     return pool
 
 
-def _class_sieve(pool, base: tuple[int, int], j_max: int) -> np.ndarray:
-    """hit[j] for 0 <= j <= j_max: whether n = r0 + j*m0 of the base class
-    (r0, m0), 0 <= r0 < m0, lies in some class (p, r, m) of pool.  The
-    marking counterpart of _class_walk: a class meets the base class in one
-    class mod L = lcm(m, m0) or in none, so it hits every (L // m0)-th j
-    from the first."""
+def _class_sieve(pool, base: tuple[int, int], hit: np.ndarray) -> np.ndarray:
+    """Set hit[j] for every j < hit.size where n = r0 + j*m0 of the base
+    class (r0, m0), 0 <= r0 < m0, lies in some class (p, r, m) of pool, and
+    return hit; the caller owns the bool array, so that markings can share
+    it.  The marking counterpart of _class_walk: a class meets the base
+    class in one class mod L = lcm(m, m0) or in none, so it hits every
+    (L // m0)-th j from the first."""
     r0, m0 = base
-    hit = np.zeros(j_max + 1, dtype=bool)
+    j_max = hit.size - 1
     for _, r, m in pool:
         sol = crt_pair(r0, m0, r, m)
         if sol is not None:
@@ -549,8 +542,8 @@ def y_k_lower_bound(q: GcdQuery, x: int) -> int:
         return 0
     pool = _hit_classes(q, scan_primes(q.F, 2, x, sieve_bound=x), coprime_to=q.k)
     pool += [(p, 0, p * lk) for p in factorize(q.k).prime_set()]
-    M = x // lk
-    return M - int(np.count_nonzero(_class_sieve(pool, (0, lk), M)[1:]))
+    hit = _class_sieve(pool, (0, lk), np.zeros(x // lk + 1, dtype=bool))
+    return hit.size - 1 - int(np.count_nonzero(hit[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +579,8 @@ def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
     if z < 2 or x < 1:
         raise ValueError("need z >= 2 and x >= 1")
     pool = _hit_classes(q, scan_primes(q.F, 2, z))
-    marked = int(np.count_nonzero(_class_sieve(pool, (0, 1), x)[1:]))
+    hit = _class_sieve(pool, (0, 1), np.zeros(x + 1, dtype=bool))
+    marked = int(np.count_nonzero(hit[1:]))
     progs = tuple((r, m) for _, r, m in pool)
     return HitDensity(z, x, progs, marked, _union_density(progs))
 
@@ -647,11 +641,15 @@ class CoprimeReport(NamedTuple):
 def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
     """Count gcd(a*n+b, a_n) = 1 up to x and check it against the bound
 
-        density >= 1 - delta_z - sum over pretty p in (z, a*x+b] of 1/ell(p)
+        density >= 1 - delta_z - sum over the classes (p, r, m) with
+                   z < p <= a*x+b of 1/m
 
     at every z in the schedule, with a boundary allowance of one index per
     progression (a progression mod M meets [1, x] at most x/M + 1 times).
-    Violations raise SelfCheckError.
+    The classes are _hit_classes', so a prime is charged only when it can
+    divide gcd(a*n+b, a_n): m is ell(p) = p * ord(p) for most primes, and an
+    anomalous prime (ord(p) = p) counts only when p | b.  Violations raise
+    SelfCheckError.
     """
     if q.linear is None or q.k != 1:
         raise ValueError("coprime report needs a linear form with k = 1")
@@ -665,7 +663,7 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
     count = int((g[1:] == 1).sum())
     density = count / x
     pmax = a * x + b
-    tail_pool = _pretty_prime_pool(q, scan_primes(q.F, 2, pmax))
+    tail_pool = _hit_classes(q, scan_primes(q.F, 2, pmax))
     checkpoints = []
     for z in zs:
         hd = small_prime_hit_density(q, z, x)
@@ -675,9 +673,9 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
             hit = hd.marked_density
         residual = 0.0
         n_tail = 0
-        for p, op in tail_pool:
-            if z < p <= pmax and a % p != 0:
-                residual += 1.0 / math.lcm(p, op)
+        for p, _, m in tail_pool:
+            if p > z:
+                residual += 1.0 / m
                 n_tail += 1
         allowance = (len(hd.progressions) + n_tail) / x
         lower = 1.0 - hit - residual - allowance

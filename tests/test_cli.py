@@ -156,6 +156,18 @@ def test_coprime_anomalous_tail_prime(capsys):
     assert out.endswith("residual 0.450641  lower_bound 0.399359\n")
 
 
+def test_coprime_skips_anomalous_tail_prime_whose_class_is_empty(capsys):
+    # with b = 1, 3 | 2n+1 and ord(3) = 3 | n never hold together, so p = 3
+    # adds nothing to the residual or the allowance at z = 2
+    rc, out, err = run(
+        capsys, "coprime", "--poly", "x^3+1", "--a", "2", "--b", "1",
+        "--x", "2000", "--z", "2", "--z", "3",
+    )
+    assert (rc, err) == (0, "")
+    tail = "hit 0.000000  residual 0.117307  lower_bound 0.733193\n"
+    assert out.endswith(f"  z=2  {tail}  z=3  {tail}")
+
+
 def test_verify_small_bound(capsys):
     rc, out, _ = run(capsys, "verify", "--poly", "x^2+1", "--bound", "30")
     assert rc == 0

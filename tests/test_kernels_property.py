@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyngcd
+from dyngcd import prime_lab
 from dyngcd.arith_core import crt_pair, factorize
 from dyngcd.density_lab import (
     GcdQuery,
@@ -297,6 +299,21 @@ def test_scan_columns_match_plain_walk_and_value_table(F, data):
         assert scan.ell.tolist() == [math.lcm(p, o) if o > 0 else o for p, o in zip(primes, want)]
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(F=polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), data=st.data())
+def test_scan_blocks_change_no_column(F, data):
+    p_min = data.draw(st.integers(2, 500))
+    p_max = data.draw(st.integers(p_min, 1000))
+    bound = data.draw(st.integers(1, 2 * p_max**2))
+    for policy in (None, bound):
+        want = scan_primes.__wrapped__(F, p_min, p_max, policy)  # one block
+        for block in (1, 2, 7, 64):
+            with mock.patch.object(prime_lab, "_SCAN_BLOCK", block):
+                got = scan_primes.__wrapped__(F, p_min, p_max, policy)
+            for col in ("p", "ord", "injective"):
+                assert np.array_equal(getattr(got, col), getattr(want, col)), (block, col)
+
+
 @st.composite
 def shifted_cubes(draw):
     """c3 (x + s)^3 + c0 with every coefficient inside the guard's edge: a
@@ -508,7 +525,13 @@ def test_class_sieve_marks_the_indices_of_some_class(classes, base, j_max):
     pool = [(p, r, m) for p, (r, m) in zip(PRIMES_TO_37, classes)]
     r0, m0 = base
     want = [any((r0 + j * m0 - r) % m == 0 for r, m in classes) for j in range(j_max + 1)]
-    assert _class_sieve(pool, base, j_max).tolist() == want
+    hit = np.zeros(j_max + 1, dtype=bool)
+    assert _class_sieve(pool, base, hit) is hit
+    assert hit.tolist() == want
+    # marks add to what the array holds: split the pool in two markings
+    half = len(pool) // 2
+    hit = _class_sieve(pool[:half], base, np.zeros(j_max + 1, dtype=bool))
+    assert _class_sieve(pool[half:], base, hit).tolist() == want
 
 
 WANDERING = st.builds(
