@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 bad input (parse failure, preperiodic orbit, invalid
 arguments, coefficients too large for the int64 kernels, a --cache path that
-cannot be read or written), 3 cache fingerprint mismatch or corrupt cache, 4
-internal cross-check failure (dual-route disagreement or a failed verify
-suite).
+cannot be read or written), 3 cache fingerprint mismatch, corrupt cache or a
+cached rank that its orbit walk contradicts, 4 internal cross-check failure
+(dual-route disagreement or a failed verify suite).
 """
 
 from __future__ import annotations
@@ -102,10 +102,7 @@ def cmd_scan(ns) -> int:
     if ns.pmax < 2:
         raise ValueError("--pmax must be >= 2")
     scan = scan_primes(F, ns.pmin, ns.pmax)
-    cache = _load_cache(ns, F)
-    for p, r in zip(scan.p.tolist(), scan.ord.tolist()):
-        cache.put(p, r if r else INF)  # an exact scan leaves no rank unresolved
-    _save_cache(ns, cache)
+    _save_cache(ns, _load_cache(ns, F))
     sys.stdout.write(scan_csv(scan))
     return 0
 

@@ -245,15 +245,14 @@ def _hit_classes(q: GcdQuery, scan, coprime_to: int = 1) -> list[tuple[int, int,
     ord(p) | n.  G(x) = x is the form (1, 0), whose class is 0 mod ell(p).
     A prime drops out when p | a (p never divides a*n+b) or when the two
     congruences do not meet (p | a_n forces p | n, against p | a*n+b).
-    Every rank the scan found finite goes into q's cache.  Callers spell
-    each scan the same way, since lru_cache keys on the spelling."""
+    Callers spell each scan the same way, since lru_cache keys on the
+    spelling."""
     a, b = q.linear or (1, 0)
     keep = scan.pretty
     for p in factorize(coprime_to).prime_set():
         keep = keep & (scan.p != p)
     pool = []
     for p, op in zip(scan.p[keep].tolist(), scan.ord[keep].tolist()):
-        q.cache.put(p, op)
         if a % p:
             sol = crt_pair(-b * pow(a, -1, p) % p, p, 0, op)
             if sol is not None:
@@ -457,69 +456,67 @@ class NonemptyVerdict(NamedTuple):
 _WITNESS_CHECK_MAX = 10**6
 
 
-def _ell_factored(q: GcdQuery) -> tuple[int, dict[int, int]] | None:
-    """ell(k) with its factorization {p: e}, or None when k is not pretty.
-    The factors come from those of k and of ord(k) <= k, which stay inside
-    factorize's range even where ell(k) = lcm(k, ord(k)) does not."""
-    rk = ord_crt(q.cache, q.k)
-    if rk == INF:
-        return None
-    factors = dict(factorize(rk).factors)
-    for p, e in factorize(q.k).factors:
-        factors[p] = max(e, factors.get(p, 0))
-    return math.lcm(q.k, rk), factors
-
-
-def b_nonempty(q: GcdQuery) -> NonemptyVerdict:
-    """Whether B(k) has any element at all: k must be pretty, and no prime p
-    outside k may have ell(p) | ell(k).  Only primes dividing ell(k) can
-    violate that, so the check is finite; when it passes, n = ell(k) itself
-    is a member."""
-    q._identity_only("b_nonempty")
-    k = q.k
-    lf = _ell_factored(q)
-    if lf is None:
-        return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
-    lk, factors = lf
-    for p in factors:
-        if k % p == 0:
-            continue
-        lp = ell(q.cache, p)
-        if lp != INF and lk % lp == 0:
-            return NonemptyVerdict(
-                False,
-                None,
-                f"prime {p} outside k has ell({p})={lp} dividing ell({k})={lk}",
-            )
-    if lk <= _WITNESS_CHECK_MAX and not membership(q, lk).in_B:
-        raise SelfCheckError(f"witness {lk} failed the direct B membership check")
-    return NonemptyVerdict(True, lk, f"ell({k})={lk} is a member of B")
-
-
-def a_nonempty(q: GcdQuery) -> NonemptyVerdict:
-    """Whether A(k) has any element: exactly when gcd(ell(k), a_ell(k)) = k,
-    in which case n = ell(k) is the witness.
+def _ell_gcd(q: GcdQuery) -> tuple[int, dict[int, int]] | None:
+    """ell(k) and gcd(ell(k), a_ell(k)) as {p: e}, or None when k is not
+    pretty.  Both nonemptiness verdicts read off this gcd.
 
     The gcd comes from ranks, not from ell(k) Horner steps: p^e | a_n exactly
-    when ord(p^e) | n, so for p^f || ell(k) the gcd holds p to the largest
-    power e <= f with ord(p^e) | ell(k)."""
-    q._identity_only("a_nonempty")
+    when ord(p^e) | n, and ord(p^e) | ord(p^(e+1)), so for p^f || ell(k) the
+    gcd holds p to the largest power e <= f with ord(p^e) | ell(k).  The
+    primes of ell(k) come from those of k and of ord(k) <= k, which stay
+    inside factorize's range even where ell(k) = lcm(k, ord(k)) does not.
+    Where ell(k) is small enough, the gcd is checked against membership's."""
     F, k, cache = q.F, q.k, q.cache
-    lf = _ell_factored(q)
-    if lf is None:
-        return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
-    lk, factors = lf
-    g = 1
+    rk = ord_crt(cache, k)
+    if rk == INF:
+        return None
+    lk = math.lcm(k, rk)
+    factors = dict(factorize(rk).factors)
+    for p, e in factorize(k).factors:
+        factors[p] = max(e, factors.get(p, 0))
+    gcd = {}
     for p, f in factors.items():
         for e in range(1, f + 1):
             r = cache.rank_of(F, p**e)
             if r == INF or lk % r:
                 break
-            g *= p
-    if lk <= _WITNESS_CHECK_MAX:
-        mv = membership(q, lk)
-        if mv.in_A != (g == k):
-            raise SelfCheckError(f"membership({lk}) disagrees with the gcd test")
+            gcd[p] = e
+    g = math.prod(p**e for p, e in gcd.items())
+    if lk <= _WITNESS_CHECK_MAX and membership(q, lk).g != g:
+        raise SelfCheckError(f"membership({lk}) disagrees with the gcd read off ranks")
+    return lk, gcd
+
+
+def b_nonempty(q: GcdQuery) -> NonemptyVerdict:
+    """Whether B(k) has any element at all: k must be pretty, and no prime p
+    outside k may divide gcd(ell(k), a_ell(k)), that is have ell(p) | ell(k).
+    When that holds, n = ell(k) itself is a member."""
+    q._identity_only("b_nonempty")
+    k = q.k
+    lg = _ell_gcd(q)
+    if lg is None:
+        return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
+    lk, gcd = lg
+    for p in gcd:
+        if k % p:
+            return NonemptyVerdict(
+                False,
+                None,
+                f"prime {p} outside k has ell({p})={ell(q.cache, p)} dividing ell({k})={lk}",
+            )
+    return NonemptyVerdict(True, lk, f"ell({k})={lk} is a member of B")
+
+
+def a_nonempty(q: GcdQuery) -> NonemptyVerdict:
+    """Whether A(k) has any element: exactly when gcd(ell(k), a_ell(k)) = k,
+    in which case n = ell(k) is the witness."""
+    q._identity_only("a_nonempty")
+    k = q.k
+    lg = _ell_gcd(q)
+    if lg is None:
+        return NonemptyVerdict(False, None, f"k={k} is not pretty (infinite rank)")
+    lk, gcd = lg
+    g = math.prod(p**e for p, e in gcd.items())
     if g == k:
         return NonemptyVerdict(True, lk, f"gcd(ell({k}), a_ell({k})) = {g} = k")
     return NonemptyVerdict(False, None, f"gcd(ell({k}), a_ell({k})) = {g} != {k}")
@@ -730,7 +727,8 @@ def build_density_report(
 ) -> DensityReport:
     """Assemble counts, the floor identity, series truncations at T/4, T/2, T
     and the nonemptiness verdicts into one report.  method 'both' recomputes
-    the counts through the oracle and the sieve and insists they agree.  The
+    the counts through the oracle and the sieve and insists they agree; under
+    every method the floor identity must equal count_B.  The
     sieve counts at the checkpoints x/4, x/2 and x all come from one bounded
     scan at x, which the floor identity then reuses."""
     q._identity_only("build_density_report")
@@ -758,7 +756,7 @@ def build_density_report(
                 f"oracle ({oa}, {ob}) and sieve ({count_a}, {count_b}) disagree at x={x}"
             )
     fi = floor_identity_B(q, x)
-    if method == "both" and fi != count_b:
+    if fi != count_b:
         raise SelfCheckError(f"floor identity {fi} != count_B {count_b} at x={x}")
     series_b, series_a = series_checkpoints(q, T)
     nb = b_nonempty(q)

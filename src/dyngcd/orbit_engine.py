@@ -466,33 +466,37 @@ class OrdCache:
     """The rank context of one polynomial F: a map modulus -> rank of
     apparition, kept on disk between runs.
 
-    Stored entries are exact: a finite value r means a_r is the first orbit
-    value divisible by the key, and INF means no orbit value ever is.  The
-    CSV on disk encodes INF as 0 and carries F's coefficients as its
-    fingerprint.
+    rank_of is the one writer of ranks.  An entry it walked is exact: a
+    finite value r means a_r is the first orbit value divisible by the key,
+    and INF means no orbit value ever is.  An entry handed to __init__ (in
+    practice one that load read from disk) is a claim until it is walked:
+    the first rank_of read of it walks ord_direct and refuses a claim the
+    walk contradicts.  The CSV on disk encodes INF as 0 and carries F's
+    coefficients as its fingerprint.
     """
 
-    __slots__ = ("F", "ranks")
+    __slots__ = ("F", "ranks", "unchecked")
 
     def __init__(self, F: IntPolynomial, ranks: dict[int, int | float] | None = None):
         self.F = F
         self.ranks = {} if ranks is None else ranks
-
-    def put(self, n: int, rank: int | float) -> None:
-        old = self.ranks.get(n)
-        if old is not None and old != rank:
-            raise CacheMismatchError(f"conflicting ranks for {n}: {old} vs {rank}")
-        self.ranks[n] = rank
+        self.unchecked = set(self.ranks)
 
     def rank_of(self, F: IntPolynomial, n: int) -> int | float:
-        """Cached ord_direct."""
+        """Cached ord_direct; CacheMismatchError when the walk of a claimed
+        rank disagrees with it."""
         # F stays for perfbench/tracer.py, which wraps rank_of(self, F, n)
         if F != self.F:
             raise CacheMismatchError(f"cache built for {self.F}, used with {F}")
         r = self.ranks.get(n)
-        if r is None:
-            r = ord_direct(F, n)
-            self.ranks[n] = r
+        if r is None or n in self.unchecked:
+            walked = ord_direct(F, n)
+            if r is not None and r != walked:
+                raise CacheMismatchError(
+                    f"cached rank {r} for {n}, but its orbit walk gives {walked}"
+                )
+            self.unchecked.discard(n)
+            self.ranks[n] = r = walked
         return r
 
     def save(self, path) -> None:

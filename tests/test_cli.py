@@ -193,6 +193,7 @@ def test_cache_created_and_merged(tmp_path, capsys):
     rc, _, _ = run(capsys, "scan", "--poly", "x^2+1", "--pmax", "20", "--cache", str(cache))
     assert rc == 0 and cache.exists()
     first = cache.read_text()
+    assert first == "# poly=1,0,1\n# version=1\np,ord\n"  # a scan writes no ranks
     # idempotent rerun, then a consistent extension through another command
     rc, _, _ = run(capsys, "scan", "--poly", "x^2+1", "--pmax", "20", "--cache", str(cache))
     assert rc == 0 and cache.read_text() == first
@@ -217,6 +218,31 @@ def test_corrupt_cache_exit_code(tmp_path, capsys):
     cache.write_text(cache.read_text().replace("5,3", "5,999"))
     rc, out, err = run(capsys, "ord", "--poly", "x^2+1", "--n", "65", "--cache", str(cache))
     assert rc == 3 and out == "" and "999" in err
+
+
+@pytest.mark.parametrize("row, tampered, argv", [
+    ("13,4", "13,2", ["ord", "--n", "13", "--n", "26"]),
+    # 0 means infinite; ell(5) is read before anything else could walk 5
+    ("5,3", "5,0", ["density", "--k", "5", "--x", "1000", "--method", "sieve"]),
+])
+def test_tampered_cache_rank_exit_code(tmp_path, capsys, row, tampered, argv):
+    cache = tmp_path / "c.csv"
+    argv = [argv[0], "--poly", "x^2+1", *argv[1:], "--cache", str(cache)]
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0 and f"\n{row}\n" in cache.read_text()
+    cache.write_text(cache.read_text().replace(f"\n{row}\n", f"\n{tampered}\n"))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == "" and err.startswith("cache error: ")
+
+
+def test_floor_identity_checked_against_sieve_count(capsys, monkeypatch):
+    from dyngcd import density_lab
+
+    true_fi = density_lab.floor_identity_B
+    monkeypatch.setattr(density_lab, "floor_identity_B", lambda q, x: true_fi(q, x) + 1)
+    rc, out, err = run(capsys, "density", "--poly", "x^2+1", "--k", "1", "--x", "30000",
+                       "--method", "sieve")
+    assert rc == 4 and out == "" and "floor identity" in err
 
 
 def test_cache_that_is_not_utf8_exit_code(tmp_path, capsys):

@@ -35,6 +35,7 @@ from dyngcd.density_lab import (
 )
 from dyngcd.orbit_engine import (
     INF,
+    CacheMismatchError,
     IntPolynomial,
     OrdCache,
     _a_mod_vec,
@@ -248,6 +249,25 @@ def test_shared_rank_context_matches_direct_and_fresh(F, ns):
         r = ord_crt(shared, n)
         assert r == ord_direct(F, n) == ord_crt(OrdCache(F), n)
         assert ell(shared, n) == ell(OrdCache(F), n) == (INF if r == INF else math.lcm(n, r))
+
+
+@PROPS
+@given(F=polys(ANY_COEFF), n=st.integers(2, 2000), data=st.data())
+def test_altered_cache_row_is_refused_not_answered(F, n, data, tmp_path_factory):
+    # every row the first ranking saved is read again, in the same order, by
+    # the second; so the altered row is always read, and must be refused
+    c = OrdCache(F)
+    ord_crt(c, n)
+    path = tmp_path_factory.mktemp("cache") / "ranks.csv"
+    c.save(path)
+    m = data.draw(st.sampled_from(sorted(c.ranks)))
+    old = 0 if c.ranks[m] == INF else c.ranks[m]
+    new = data.draw(st.integers(0, m).filter(lambda r: r != old))
+    path.write_text(path.read_text().replace(f"\n{m},{old}\n", f"\n{m},{new}\n"))
+    altered = OrdCache.load(path, F)
+    assert altered.ranks[m] == (INF if new == 0 else new)
+    with pytest.raises(CacheMismatchError):
+        ord_crt(altered, n)
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,9 @@ def test_ord_table_basics():
 
 def test_cache_round_trip(tmp_path):
     c = OrdCache(F)
-    c.put(5, 3)
-    c.put(3, INF)
-    for n in (1, 2, 13, 25, 65, 2**20):
+    for n in (1, 2, 3, 5, 13, 25, 65, 2**20):
         c.rank_of(F, n)
+    assert not c.unchecked
     path = tmp_path / "ranks.csv"
     c.save(path)
     c2 = OrdCache.load(path, F)
@@ -259,19 +258,24 @@ def test_cache_round_trip(tmp_path):
     assert c2.ranks.get(5) == 3
     assert c2.ranks.get(3) == INF
     assert c2.ranks.get(7) is None
-    c2.put(7, INF)  # a loaded cache stays mutable
-    assert c2.rank_of(F, 7) == INF and 7 not in c.ranks
+    # loaded entries are claims until rank_of walks them
+    assert c2.unchecked == set(c.ranks)
+    assert c2.rank_of(F, 5) == 3 and c2.rank_of(F, 3) == INF
+    assert c2.unchecked == set(c.ranks) - {3, 5}
+    assert c2.rank_of(F, 7) == INF and 7 not in c.ranks  # a loaded cache stays mutable
 
 
 def test_cache_conflict_and_poly_mismatch(tmp_path):
     c = OrdCache(F)
-    c.put(5, 3)
-    with pytest.raises(CacheMismatchError):
-        c.put(5, 4)
+    c.rank_of(F, 5)
     path = tmp_path / "ranks.csv"
     c.save(path)
     with pytest.raises(CacheMismatchError):
         OrdCache.load(path, parse_polynomial("x^2+x+1"))
+    path.write_text(path.read_text().replace("5,3", "5,4"))
+    c2 = OrdCache.load(path, F)  # 4 is an admissible rank for 5
+    with pytest.raises(CacheMismatchError, match="walk gives 3"):
+        c2.rank_of(F, 5)
 
 
 def test_cache_rejects_foreign_file(tmp_path):
@@ -294,7 +298,7 @@ def test_cache_load_refuses_impossible_entries(tmp_path, body):
 def test_cache_save_replaces_atomically(tmp_path):
     path = tmp_path / "ranks.csv"
     c = OrdCache(F)
-    c.put(5, 3)
+    c.rank_of(F, 5)
     c.save(path)
     before = path.read_text()
     c.ranks[2] = "two"  # fails while the new file is being written
