@@ -101,8 +101,9 @@ def cmd_scan(ns) -> int:
     F = parse_polynomial(ns.poly)
     if ns.pmax < 2:
         raise ValueError("--pmax must be >= 2")
+    cache = _load_cache(ns, F)  # a refused cache costs no scan
     scan = scan_primes(F, ns.pmin, ns.pmax)
-    _save_cache(ns, _load_cache(ns, F))
+    _save_cache(ns, cache)
     sys.stdout.write(scan_csv(scan))
     return 0
 

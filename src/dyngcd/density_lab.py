@@ -212,20 +212,20 @@ def count_sieve(q: GcdQuery, x: int) -> tuple[int, int]:
 
 
 def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
-    """count_sieve at every cut-off cx <= x in cuts, from one bounded scan at
+    """count_sieve at every cut-off cx <= x in cuts, from the bounded pool at
     x.  Whether n is a member does not depend on the cut-off, so each count
     is a prefix count of the sieve at x: hit[j] stands for n = j * ell(k),
     and the count at cx reads hit[: cx // ell(k) + 1].  The A classes are
     marked into the same array once the B counts are read, since A(k) is
     the part of B(k) outside them."""
-    lk = ell(q.cache, q.k)
-    if lk == INF or lk > x:
+    bp = _b_pool(q, x)
+    if bp is None:
         return [(0, 0)] * len(cuts)
-    scan = scan_primes(q.F, 2, x, sieve_bound=x)
+    lk, pool = bp
     hit = np.zeros(x // lk + 1, dtype=bool)
     hit[0] = True  # n = 0 is no index
     ends = [cx // lk + 1 for cx in cuts]
-    _class_sieve(_hit_classes(q, scan, coprime_to=q.k), (0, lk), hit)
+    _class_sieve(pool, (0, lk), hit)
     counts_b = [end - int(np.count_nonzero(hit[:end])) for end in ends]
     _class_sieve(_A_classes(q, x), (0, lk), hit)
     return [
@@ -238,19 +238,15 @@ def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _hit_classes(q: GcdQuery, scan, coprime_to: int = 1) -> list[tuple[int, int, int]]:
-    """(p, r, m) for every pretty prime p of a scan_primes result that can
-    divide gcd(G(n), a_n), leaving out the primes dividing coprime_to: p
-    divides it exactly when n = r (mod m), the CRT of G(n) = 0 (mod p) with
-    ord(p) | n.  G(x) = x is the form (1, 0), whose class is 0 mod ell(p).
-    A prime drops out when p | a (p never divides a*n+b) or when the two
-    congruences do not meet (p | a_n forces p | n, against p | a*n+b).
-    Callers spell each scan the same way, since lru_cache keys on the
-    spelling."""
+def _hit_classes(q: GcdQuery, scan) -> list[tuple[int, int, int]]:
+    """(p, r, m) for every pretty prime p of a scan_primes result that does
+    not divide k and can divide gcd(G(n), a_n): p divides it exactly when
+    n = r (mod m), the CRT of G(n) = 0 (mod p) with ord(p) | n.  G(x) = x is
+    the form (1, 0), whose class is 0 mod ell(p).  A prime drops out when
+    p | a (p never divides a*n+b) or when the two congruences do not meet
+    (p | a_n forces p | n, against p | a*n+b)."""
     a, b = q.linear or (1, 0)
-    keep = scan.pretty
-    for p in factorize(coprime_to).prime_set():
-        keep = keep & (scan.p != p)
+    keep = scan.pretty & ~np.isin(scan.p, factorize(q.k).prime_set())
     pool = []
     for p, op in zip(scan.p[keep].tolist(), scan.ord[keep].tolist()):
         if a % p:
@@ -258,6 +254,18 @@ def _hit_classes(q: GcdQuery, scan, coprime_to: int = 1) -> list[tuple[int, int,
             if sol is not None:
                 pool.append((p, *sol))
     return pool
+
+
+def _b_pool(q: GcdQuery, x: int) -> tuple[int, list[tuple[int, int, int]]] | None:
+    """ell(k) and the B classes (p, 0, ell(p)) with ell(p) <= x, from the one
+    bounded scan at x that the sieve, the floor identity and the avoidance
+    bound share; None when ell(k) is infinite or past x, so that B(k) has no
+    member up to x.  A class past x meets [1, x] nowhere."""
+    lk = ell(q.cache, q.k)
+    if lk == INF or lk > x:
+        return None
+    pool = _hit_classes(q, scan_primes(q.F, 2, x, sieve_bound=x))
+    return lk, [c for c in pool if c[2] <= x]
 
 
 def _A_classes(q: GcdQuery, bound) -> list[tuple[int, int, int]]:
@@ -344,18 +352,17 @@ def floor_identity_B(q: GcdQuery, x: int) -> int:
         sum mu(d) * floor(x / ell(d*k))
 
     Terms with ell(d*k) > x vanish, and ell only grows with d, so the sum is
-    a pruned walk over the classes 0 mod ell(p) of the pretty primes with
-    ell(p) <= x, from the base class 0 mod ell(k).  This equals the sieve and
-    oracle counts exactly, not asymptotically.
+    a pruned walk over the bounded pool at x (the classes 0 mod ell(p) with
+    ell(p) <= x), from the base class 0 mod ell(k).  This equals the sieve
+    and oracle counts exactly, not asymptotically.
     """
     q._identity_only("floor_identity_B")
     if x < 1:
         raise ValueError("x must be >= 1")
-    lk = ell(q.cache, q.k)
-    if lk == INF or lk > x:
+    bp = _b_pool(q, x)
+    if bp is None:
         return 0
-    pool = _hit_classes(q, scan_primes(q.F, 2, x, sieve_bound=x), coprime_to=q.k)
-    pool = [c for c in pool if c[2] <= x]
+    lk, pool = bp
     return sum(mu * (x // m) for _, mu, _, m in _class_walk(pool, (0, lk), x, x))
 
 
@@ -365,31 +372,36 @@ class SeriesTruncation(NamedTuple):
     last_block: float
 
 
-def _series(q: GcdQuery, ts, of_A: bool) -> list[SeriesTruncation]:
-    """sum mu(d) / ell(d*k) over the squarefree d <= t of the walk, summed in
-    its order, for B(k) or (of_A) for A(k), at every t in ts (ascending);
-    last_block sums 1/ell(d*k) over t/2 < d <= t.  One walk to T = max(ts)
-    serves every t: it visits the nodes with d <= t in the order of a walk
-    to t, and the exact scan up to T holds the one up to t."""
-    q._identity_only("series_density_A" if of_A else "series_density_B")
+def _series(q: GcdQuery, ts) -> tuple[list[SeriesTruncation], list[SeriesTruncation]]:
+    """The B and the A truncations at every t in ts (ascending): sum mu(d) /
+    ell(d*k) over the squarefree d <= t of the walk, in its order, and
+    last_block, sum 1/ell(d*k) over t/2 < d <= t.  One walk of the A pool to
+    T = max(ts) serves both: the A pool is the B pool plus classes of primes
+    of k, so the B pool's walk is the nodes with gcd(d, k) = 1, in the same
+    order.  A walk to T visits the nodes with d <= t in the order of a walk to
+    t, and the exact scan up to T holds the one up to t."""
+    q._identity_only("the density series")
     if ts[0] < 1:
         raise ValueError("T must be >= 1")
     T = ts[-1]
     lk = ell(q.cache, q.k)
     if lk == INF:
-        return [SeriesTruncation(t, 0.0, 0.0) for t in ts]
-    pool = _hit_classes(q, scan_primes(q.F, 2, T), coprime_to=q.k)
-    if of_A:
-        pool = sorted(pool + _A_classes(q, T))
-    totals = [0.0] * len(ts)
-    blocks = [0.0] * len(ts)
-    for d, mu, _, m in _class_walk(pool, (0, lk), T, INF):
-        for i, t in enumerate(ts):
-            if d <= t:
-                totals[i] += mu / m
-                if d > t // 2:
-                    blocks[i] += 1.0 / m
-    return [SeriesTruncation(*row) for row in zip(ts, totals, blocks)]
+        return ([SeriesTruncation(t, 0.0, 0.0) for t in ts],) * 2
+    pool = sorted(_hit_classes(q, scan_primes(q.F, 2, T)) + _A_classes(q, T))
+    nodes = [(d, mu, m) for d, mu, _, m in _class_walk(pool, (0, lk), T, INF)]
+
+    def truncations(walk) -> list[SeriesTruncation]:
+        totals = [0.0] * len(ts)
+        blocks = [0.0] * len(ts)
+        for d, mu, m in walk:
+            for i, t in enumerate(ts):
+                if d <= t:
+                    totals[i] += mu / m
+                    if d > t // 2:
+                        blocks[i] += 1.0 / m
+        return [SeriesTruncation(*row) for row in zip(ts, totals, blocks)]
+
+    return truncations(nd for nd in nodes if math.gcd(nd[0], q.k) == 1), truncations(nodes)
 
 
 def series_density_B(q: GcdQuery, T: int) -> SeriesTruncation:
@@ -400,7 +412,7 @@ def series_density_B(q: GcdQuery, T: int) -> SeriesTruncation:
     Only pretty d contribute (infinite ell kills the term).  last_block is
     the absolute tail sum over T/2 < d <= T, the reported convergence gauge.
     """
-    return _series(q, [T], False)[0]
+    return _series(q, [T])[0][0]
 
 
 def series_density_A(q: GcdQuery, T: int) -> SeriesTruncation:
@@ -417,18 +429,17 @@ def series_density_A(q: GcdQuery, T: int) -> SeriesTruncation:
     series with each prime p of k admitted as its class in _A_classes, the
     class 0 mod ell(p^(v_p(k)+1)), and left out when that rank is infinite.
     """
-    return _series(q, [T], True)[0]
+    return _series(q, [T])[1][0]
 
 
 def series_checkpoints(
     q: GcdQuery, T: int
 ) -> tuple[list[SeriesTruncation], list[SeriesTruncation]]:
     """The B and the A truncations at T/4, T/2 and T (those >= 1), read off
-    one walk each over one exact scan up to T."""
+    one walk over one exact scan up to T."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    ts = sorted(set(t for t in (T // 4, T // 2, T) if t >= 1))
-    return _series(q, ts, False), _series(q, ts, True)
+    return _series(q, sorted(set(t for t in (T // 4, T // 2, T) if t >= 1)))
 
 
 def count_A_inclusion_exclusion(q: GcdQuery, x: int) -> int:
@@ -528,16 +539,15 @@ def a_nonempty(q: GcdQuery) -> NonemptyVerdict:
 
 
 def y_k_lower_bound(q: GcdQuery, x: int) -> int:
-    """#{n <= x in B(k) : gcd(n / ell(k), k) = 1}: the B sieve with the
-    class 0 mod p*ell(k) of each prime p | k marked as well.  A certified
-    lower bound for #B(x), and for #A(x) when F has zero linear coefficient
-    (rigid divisibility).  The scan is spelled as _sieve_counts spells it,
-    so that the two share it."""
+    """#{n <= x in B(k) : gcd(n / ell(k), k) = 1}: the B sieve over the
+    bounded pool at x, with the class 0 mod p*ell(k) of each prime p | k
+    marked as well.  A certified lower bound for #B(x), and for #A(x) when F
+    has zero linear coefficient (rigid divisibility)."""
     q._identity_only("y_k_lower_bound")
-    lk = ell(q.cache, q.k)
-    if lk == INF or lk > x:
+    bp = _b_pool(q, x)
+    if bp is None:
         return 0
-    pool = _hit_classes(q, scan_primes(q.F, 2, x, sieve_bound=x), coprime_to=q.k)
+    lk, pool = bp
     pool += [(p, 0, p * lk) for p in factorize(q.k).prime_set()]
     hit = _class_sieve(pool, (0, lk), np.zeros(x // lk + 1, dtype=bool))
     return hit.size - 1 - int(np.count_nonzero(hit[1:]))
@@ -570,9 +580,10 @@ _UNION_NODE_MAX = 200_000
 
 
 def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
-    """How much of [1, x] is hit by pretty primes up to z (linear form only)."""
-    if q.linear is None:
-        raise ValueError("hit density is defined for linear forms")
+    """How much of [1, x] is hit by pretty primes up to z (linear form with
+    k = 1 only)."""
+    if q.linear is None or q.k != 1:
+        raise ValueError("hit density needs a linear form with k = 1")
     if z < 2 or x < 1:
         raise ValueError("need z >= 2 and x >= 1")
     pool = _hit_classes(q, scan_primes(q.F, 2, z))
@@ -726,11 +737,12 @@ def build_density_report(
     q: GcdQuery, x: int, method: str = "both", T: int = 2000
 ) -> DensityReport:
     """Assemble counts, the floor identity, series truncations at T/4, T/2, T
-    and the nonemptiness verdicts into one report.  method 'both' recomputes
-    the counts through the oracle and the sieve and insists they agree; under
-    every method the floor identity must equal count_B.  The
-    sieve counts at the checkpoints x/4, x/2 and x all come from one bounded
-    scan at x, which the floor identity then reuses."""
+    and the nonemptiness verdicts into one report.  Each counting route
+    gives its counts at the checkpoints x/4, x/2 and x: the sieve reads them
+    all off one bounded pool at x, which the floor identity then reuses, and
+    the oracle off one gcd vector.  method 'both' runs the two routes and
+    insists they agree at every checkpoint; under every method the floor
+    identity must equal count_B."""
     q._identity_only("build_density_report")
     if method not in ("oracle", "sieve", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -743,18 +755,18 @@ def build_density_report(
     # sieve route does, before numpy meets it
     rk = ord_crt(q.cache, q.k)
     cps = sorted(set(cx for cx in (x // 4, x // 2, x) if cx >= 1))
-    if method in ("sieve", "both"):
-        counts = dict(zip(cps, _sieve_counts(q, x, cps)))
-    else:
+    sieve = oracle = None
+    if method != "oracle":
+        sieve = _sieve_counts(q, x, cps)
+    if method != "sieve":
         gv = _gcd_vector(q.F, x, None)
-        counts = {cx: _counts_from_gvec(gv, q.k, cx) for cx in cps}
+        oracle = [_counts_from_gvec(gv, q.k, cx) for cx in cps]
+    if sieve and oracle:
+        for cx, sc, oc in zip(cps, sieve, oracle):
+            if sc != oc:
+                raise SelfCheckError(f"oracle {oc} and sieve {sc} disagree at x={cx}")
+    counts = dict(zip(cps, sieve or oracle))
     count_a, count_b = counts[x]
-    if method == "both":
-        oa, ob = count_oracle(q, x)
-        if (oa, ob) != (count_a, count_b):
-            raise SelfCheckError(
-                f"oracle ({oa}, {ob}) and sieve ({count_a}, {count_b}) disagree at x={x}"
-            )
     fi = floor_identity_B(q, x)
     if fi != count_b:
         raise SelfCheckError(f"floor identity {fi} != count_B {count_b} at x={x}")

@@ -519,27 +519,26 @@ class OrdCache:
 
     @classmethod
     def load(cls, path, F: IntPolynomial) -> "OrdCache":
-        """Read the cache of F written by save.  A file for another
-        polynomial, or one that is not UTF-8 or whose entries cannot be ranks
-        (a key below 1 or listed twice, or a rank outside 0 = INF or
-        1 <= r <= n), is refused with CacheMismatchError."""
-        meta: dict[str, str] = {}
-        ranks: dict[int, int | float] = {}
+        """Read the cache of F in the layout save writes: "# poly=...",
+        "# version=1", "p,ord", then one "n,rank" row a line.  Any other
+        layout, a file for another polynomial or not UTF-8, or a row that
+        cannot be a rank (a key below 1 or listed twice, or a rank outside
+        0 = INF or 1 <= r <= n) is refused with CacheMismatchError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
         except UnicodeDecodeError:
             raise CacheMismatchError(f"{path}: not a UTF-8 text file") from None
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            if line == "p,ord":
-                continue
+        poly, *head = lines[:3] or [""]
+        if not poly.startswith("# poly=") or head != [f"# version={_CACHE_VERSION}", "p,ord"]:
+            raise CacheMismatchError(f"{path}: not a version {_CACHE_VERSION} rank cache")
+        poly = poly[len("# poly=") :]
+        if poly != F.coeff_key():
+            raise CacheMismatchError(
+                f"{path}: cache is for poly {poly!r}, expected {F.coeff_key()!r}"
+            )
+        ranks: dict[int, int | float] = {}
+        for line in lines[3:]:
             ps, _, rs = line.partition(",")
             try:
                 n, r = int(ps), int(rs)
@@ -550,14 +549,6 @@ class OrdCache:
             if n in ranks:
                 raise CacheMismatchError(f"{path}: modulus {n} listed twice")
             ranks[n] = INF if r == 0 else r
-        if "poly" not in meta:
-            raise CacheMismatchError(f"{path}: missing polynomial fingerprint")
-        if meta.get("version") != str(_CACHE_VERSION):
-            raise CacheMismatchError(f"{path}: unsupported cache version")
-        if meta["poly"] != F.coeff_key():
-            raise CacheMismatchError(
-                f"{path}: cache is for poly {meta['poly']!r}, expected {F.coeff_key()!r}"
-            )
         return cls(F, ranks)
 
 

@@ -176,13 +176,13 @@ def scan_primes(
 ) -> PrimeScan:
     """Scan all primes in [p_min, p_max] for their rank of apparition.
 
-    sieve_bound None is the exact policy (cap p for every prime).  With a
-    bound x, non-injective primes get cap min(p, x // p + 1): seeing no zero
-    there proves ord(p) > x/p, hence ell(p) = p * ord(p) > x since ord < p
-    forces the lcm to be the full product.  Injective primes keep cap p so
-    the anomalous case cannot hide.  p_max must be below 2^31, the lockstep
-    kernel's limit; a larger one is refused before anything is sieved.
-    The primes are scanned _SCAN_BLOCK at a time.
+    With a bound x, non-injective primes get cap min(p, x // p + 1): seeing
+    no zero there proves ord(p) > x/p, hence ell(p) = p * ord(p) > x since
+    ord < p forces the lcm to be the full product.  Injective primes keep
+    cap p so the anomalous case cannot hide.  sieve_bound None is the exact
+    policy, the bound p_max^2, which leaves every cap at p.  p_max must be
+    below 2^31, the lockstep kernel's limit; a larger one is refused before
+    anything is sieved.  The primes are scanned _SCAN_BLOCK at a time.
     """
     require_wandering(F)
     if sieve_bound is not None and sieve_bound < 1:
@@ -197,18 +197,14 @@ def scan_primes(
     if not primes.size:
         return _EMPTY_SCAN
     check_int64_horner(F.coeffs, int(primes[-1]))
-    if sieve_bound is not None:
-        # a bound at or past p_max^2 leaves every cap at p
-        sieve_bound = min(sieve_bound, p_max * p_max)
+    bound = p_max * p_max if sieve_bound is None else min(sieve_bound, p_max * p_max)
     o = np.empty(primes.size, dtype=np.int64)
     inj = np.empty(primes.size, dtype=bool)
     for lo in range(0, primes.size, _SCAN_BLOCK):
         block = slice(lo, lo + _SCAN_BLOCK)
         ps = primes[block]
         inj[block] = _injective_column(F, ps)
-        caps = ps
-        if sieve_bound is not None:
-            caps = np.where(inj[block], ps, np.minimum(ps, sieve_bound // ps + 1))
+        caps = np.where(inj[block], ps, np.minimum(ps, bound // ps + 1))
         found = first_zero_scan(F, ps, caps)
         o[block] = np.where(found > 0, found, np.where(caps >= ps, 0, -1))
     bad = inj & (o == 0)

@@ -36,8 +36,7 @@ from .density_lab import (
     count_oracle,
     count_sieve,
     floor_identity_B,
-    series_density_A,
-    series_density_B,
+    series_checkpoints,
     y_k_lower_bound,
 )
 
@@ -340,9 +339,9 @@ def _suite_nonempty(F, bound, cache, table):
 def _suite_series_cauchy(F, bound, cache, table):
     T = bound // 2
     for k in (1, 2, 5):
-        q = GcdQuery(cache, k)
-        for fn in (series_density_B, series_density_A):
-            s1, s2 = fn(q, T), fn(q, 2 * T)
+        # the truncations at T and 2T of both series, off one walk to 2T
+        for series in series_checkpoints(GcdQuery(cache, k), 2 * T):
+            s1, s2 = series[-2:]
             if abs(s2.value - s1.value) > s2.last_block + 1e-12:
                 return False, (
                     f"k={k}: |S({2 * T}) - S({T})| = {abs(s2.value - s1.value):.3e}"

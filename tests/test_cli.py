@@ -245,6 +245,80 @@ def test_floor_identity_checked_against_sieve_count(capsys, monkeypatch):
     assert rc == 4 and out == "" and "floor identity" in err
 
 
+def test_scan_refuses_a_mismatched_cache_before_scanning(tmp_path, capsys, monkeypatch):
+    from dyngcd import prime_lab
+
+    cache = tmp_path / "c.csv"
+    rc, _, _ = run(capsys, "ord", "--poly", "x^2+x+1", "--n", "7", "--cache", str(cache))
+    assert rc == 0
+
+    def no_scan(*args, **kwargs):
+        raise RuntimeError("the scan ran before the cache was read")
+
+    monkeypatch.setattr(prime_lab, "scan_primes", no_scan)
+    rc, out, err = run(capsys, "scan", "--poly", "x^2+1", "--pmax", "1000000",
+                       "--cache", str(cache))
+    assert rc == 3 and out == "" and "1,1,1" in err
+
+
+def test_density_both_compares_every_checkpoint(capsys, monkeypatch):
+    from dyngcd import density_lab
+
+    true_counts = density_lab._sieve_counts
+
+    def off_at_half(q, x, cuts):
+        return [(a + (cx == x // 2), b) for cx, (a, b) in zip(cuts, true_counts(q, x, cuts))]
+
+    monkeypatch.setattr(density_lab, "_sieve_counts", off_at_half)
+    rc, out, err = run(capsys, "density", "--poly", "x^2+1", "--k", "1", "--x", "2000",
+                       "--method", "both")
+    assert rc == 4 and out == "" and "disagree at x=1000" in err
+
+
+def test_coprime_density_below_its_bound_exit_code(capsys, monkeypatch):
+    from dyngcd import density_lab
+
+    # a pool that misses every class charges nothing: the bound reads 1
+    monkeypatch.setattr(density_lab, "_hit_classes", lambda q, scan: [])
+    rc, out, err = run(capsys, "coprime", "--poly", "x^2+1", "--a", "2", "--b", "1",
+                       "--x", "2000", "--z", "5")
+    assert rc == 4 and out == "" and "below structural bound" in err
+
+
+def test_nonempty_gcd_checked_against_membership(capsys, monkeypatch):
+    from dyngcd import density_lab
+
+    monkeypatch.setattr(density_lab, "membership",
+                        lambda q, n: density_lab.MembershipVerdict(n, 1, False, False))
+    rc, out, err = run(capsys, "density", "--poly", "x^2+1", "--k", "5", "--x", "1000",
+                       "--method", "sieve")
+    assert rc == 4 and out == "" and "membership(15)" in err
+
+
+def test_verify_prints_a_failed_suite_and_exits_4(capsys, monkeypatch):
+    from dyngcd import verify
+
+    true_sieve = verify.count_sieve
+    monkeypatch.setattr(verify, "count_sieve",
+                        lambda q, x: (true_sieve(q, x)[0] + 1, true_sieve(q, x)[1]))
+    rc, out, err = run(capsys, "verify", "--poly", "x^2+1", "--bound", "30")
+    assert rc == 4 and "suite(s) failed" in err
+    assert "FAIL oracle_sieve [x^2 + 1] k=1, x=500: oracle and sieve disagree\n" in out
+
+
+def test_scan_refuses_an_injective_prime_without_rank(capsys, monkeypatch):
+    import numpy as np
+
+    from dyngcd import prime_lab
+
+    # x^2+1 permutes the residues mod 2, so its rank mod 2 must be finite
+    monkeypatch.setattr(prime_lab, "first_zero_scan",
+                        lambda F, mods, caps: np.zeros(len(mods), dtype=np.int64))
+    prime_lab.scan_primes.cache_clear()
+    rc, out, err = run(capsys, "scan", "--poly", "x^2+1", "--pmax", "30")
+    assert rc == 4 and out == "" and "injective map mod 2" in err
+
+
 def test_cache_that_is_not_utf8_exit_code(tmp_path, capsys):
     cache = tmp_path / "c.csv"
     cache.write_bytes(b"# poly=1,0,1\n# version=1\np,ord\n5,3\xff\n")

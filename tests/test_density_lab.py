@@ -351,11 +351,12 @@ def test_lower_bound_values():
 
 
 def test_lower_bound_reuses_the_sieve_scan():
-    # spelled as count_sieve spells it, the scan is a scan_primes cache hit
+    # the bounded pool spells its scan once, so it is a scan_primes cache hit
     q = GcdQuery(OrdCache(F), 2)
     count_sieve(q, 1237)
     misses = scan_primes.cache_info().misses
     y_k_lower_bound(q, 1237)
+    floor_identity_B(q, 1237)
     assert scan_primes.cache_info().misses == misses
 
 
@@ -392,6 +393,9 @@ def test_hit_density_marked_matches_exact_on_full_period():
 def test_hit_density_requires_linear():
     with pytest.raises(ValueError):
         small_prime_hit_density(GcdQuery(OrdCache(F), 1), 5, 100)
+    # its classes are those of gcd(a*n+b, a_n) = 1, with no prime left out
+    with pytest.raises(ValueError, match="k = 1"):
+        small_prime_hit_density(GcdQuery(OrdCache(F), 2, linear=(2, 1)), 5, 100)
 
 
 def test_union_density_inclusion_exclusion():

@@ -25,6 +25,7 @@ from dyngcd.density_lab import (
     _class_sieve,
     _class_walk,
     _gcd_vector,
+    _hit_classes,
     count_oracle,
     count_sieve,
     floor_identity_B,
@@ -636,6 +637,30 @@ def test_series_checkpoints_match_one_truncation_at_a_time(F, k, T):
             want = fn(q, got.T)
             assert got.value.hex() == want.value.hex()
             assert got.last_block.hex() == want.last_block.hex()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    F=st.one_of(st.just(IntPolynomial((1, 0, 1))), WANDERING),
+    k=st.one_of(st.sampled_from((6, 10, 15, 30)), SMALL_K),
+    T=st.integers(1, 400),
+)
+def test_B_series_is_the_sum_over_its_own_walk(F, k, T):
+    # series_checkpoints walks the A pool and keeps the nodes prime to k for
+    # B; a walk of the B pool alone gives the same floats, bit for bit
+    q = GcdQuery(OrdCache(F), k)
+    series_b, _ = series_checkpoints(q, T)
+    lk = ell(q.cache, k)
+    pool = _hit_classes(q, scan_primes(F, 2, T))
+    walk = [] if lk == INF else list(_class_walk(pool, (0, lk), T, INF))
+    for got in series_b:
+        total = block = 0.0
+        for d, mu, _, m in walk:
+            if d <= got.T:
+                total += mu / m
+                if d > got.T // 2:
+                    block += 1.0 / m
+        assert (got.value.hex(), got.last_block.hex()) == (total.hex(), block.hex())
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def test_cache_conflict_and_poly_mismatch(tmp_path):
     c.rank_of(F, 5)
     path = tmp_path / "ranks.csv"
     c.save(path)
-    with pytest.raises(CacheMismatchError):
+    with pytest.raises(CacheMismatchError, match="for poly '1,0,1'"):
         OrdCache.load(path, parse_polynomial("x^2+x+1"))
     path.write_text(path.read_text().replace("5,3", "5,4"))
     c2 = OrdCache.load(path, F)  # 4 is an admissible rank for 5
@@ -291,6 +291,24 @@ def test_cache_rejects_foreign_file(tmp_path):
 def test_cache_load_refuses_impossible_entries(tmp_path, body):
     path = tmp_path / "ranks.csv"
     path.write_text(f"# poly=1,0,1\n# version=1\np,ord\n{body}")
+    with pytest.raises(CacheMismatchError):
+        OrdCache.load(path, F)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# poly=1,0,1\n# version=1\np,ord\n5,3\n\n13,4\n",  # a blank line
+        "# poly=1,0,1\n# version=1\np,ord\n5,3\n\n",  # a trailing blank line
+        "# poly=1,0,1\n# version=1\n# by=hand\np,ord\n5,3\n",  # an extra comment
+        "# poly=1,0,1\n# version=1\np,ord\n# note\n5,3\n",  # a comment among rows
+        "# version=1\n# poly=1,0,1\np,ord\n5,3\n",  # a reordered header
+        "p,ord\n# poly=1,0,1\n# version=1\n5,3\n",
+    ],
+)
+def test_cache_load_accepts_only_the_layout_save_writes(tmp_path, text):
+    path = tmp_path / "ranks.csv"
+    path.write_text(text)
     with pytest.raises(CacheMismatchError):
         OrdCache.load(path, F)
 

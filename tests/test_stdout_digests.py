@@ -25,8 +25,13 @@ COMMANDS = [
     "density --poly x^3+x^2+1 --k 3 --x 8000 --method both --format json",
     # its A series admits 2 and 5, the primes of k, at ord(p^(e+1))
     "density --poly x^2+1 --k 10 --x 8000 --method both --format json",
+    "density --poly x^2+1 --k 1 --x 8000 --method both --format json",
+    "density --poly x^2+1 --k 2 --x 8000 --method both --format json",
+    "density --poly x^2+x+1 --k 1 --x 8000 --method both --format json",
+    "density --poly x^3+x^2+1 --k 1 --x 8000 --method both --format json",
     "coprime --poly x^2+1 --a 2 --b 13 --x 5000 --format json",
     "coprime --poly x^2+1 --a 2 --b 1 --x 5000 --format json",
+    "coprime --poly x^2+1 --a 2 --b 3 --x 5000 --format json",
     "coprime --poly x^2+1 --a 2 --b 7 --x 5000 --format json",
 ]
 
