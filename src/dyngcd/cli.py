@@ -1,15 +1,19 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 bad input (parse failure, preperiodic orbit, invalid
-arguments, coefficients too large for the int64 kernels, a --cache path that
-cannot be read or written), 3 cache fingerprint mismatch, corrupt cache or a
-cached rank that its orbit walk contradicts, 4 internal cross-check failure
-(dual-route disagreement or a failed verify suite).
+arguments, a modulus of 2^31 or more or coefficients too large for the int64
+kernels, not enough memory, a --cache path that cannot be read or written),
+3 cache fingerprint mismatch, corrupt cache or a cached rank that its orbit
+walk contradicts, 4 internal cross-check failure (dual-route disagreement or
+a failed verify suite).  main holds stdout until the command returns, whatever
+its exit code, and drops it when the command raises: a refusal prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import sys
@@ -83,15 +87,11 @@ def cmd_ord(ns) -> int:
     F = parse_polynomial(ns.poly)
     require_wandering(F)
     cache = _load_cache(ns, F)
-    # every rank and the cache first, so that a refused n or an unwritable
-    # cache leaves stdout empty
-    lines = []
     for n in ns.n:
         r = ord_crt(cache, n)
         le = INF if r == INF else math.lcm(n, int(r))
-        lines.append(f"n={n} ord={_fmt_rank(r)} ell={_fmt_rank(le)}\n")
+        print(f"n={n} ord={_fmt_rank(r)} ell={_fmt_rank(le)}")
     _save_cache(ns, cache)
-    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -150,8 +150,6 @@ def cmd_series(ns) -> int:
     if ns.T < 1:
         raise ValueError("T must be >= 1")
     q = GcdQuery(_load_cache(ns, F), ns.k)
-    # every row and the cache before the header, so that a refused k or an
-    # unwritable cache leaves stdout empty
     series_b, series_a = series_checkpoints(q, ns.T)
     _save_cache(ns, q.cache)
     print("T,series_B,last_block_B,series_A,last_block_A")
@@ -166,7 +164,7 @@ def cmd_verify(ns) -> int:
     from .verify import DEFAULT_POLYS, run_suites
 
     polys = [parse_polynomial(p) for p in ns.poly] if ns.poly else list(DEFAULT_POLYS)
-    for F in polys:  # refuse a preperiodic orbit before any suite prints
+    for F in polys:  # refuse a preperiodic orbit before any suite runs
         require_wandering(F)
     failed = 0
     for F in polys:
@@ -214,9 +212,6 @@ def cmd_diag(ns) -> int:
     F = parse_polynomial(ns.poly)
     require_wandering(F)
     x = ns.x
-    # tail_partial_sum refuses z outside [2, x) and eps, veps outside
-    # 0 <= eps < veps, and low_rank_growth a beta <= 0: both run before
-    # anything prints, so that a refused argument leaves stdout empty.
     val, comp = tail_partial_sum(F, ns.z, x, ns.eps, ns.veps)
     rows, flagged = low_rank_growth(F, ns.beta, sorted({max(x // 100, 100), max(x // 10, 100), x}))
     print(f"# low-rank primes (beta={ns.beta})")
@@ -312,8 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return ns.func(ns)
+        with contextlib.redirect_stdout(out):
+            rc = ns.func(ns)
     except CacheMismatchError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 3
@@ -323,6 +320,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ParseError, PreperiodicOrbitError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(out.getvalue())
+    return rc
 
 
 if __name__ == "__main__":

@@ -149,7 +149,7 @@ def _gcd_vector(F: IntPolynomial, x: int, linear: tuple[int, int] | None) -> np.
     values are later queried against the vector.
     """
     require_wandering(F)
-    # the largest modulus, as a Python int: refuse before int64 can wrap it
+    # the largest modulus, as a Python int: refuse before any lane exists
     check_int64_horner(F.coeffs, x if linear is None else linear[0] * x + linear[1])
     n = np.arange(1, x + 1, dtype=np.int64)
     mods = n if linear is None else linear[0] * n + linear[1]

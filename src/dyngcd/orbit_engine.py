@@ -324,8 +324,12 @@ _TAIL_LANES = 8
 
 
 def check_int64_horner(coeffs: tuple[int, ...], m_max: int) -> None:
-    """Refuse coefficients for which a Horner step acc * v + c on residues
+    """The one guard of the int64 lanes, which each lane entry point calls
+    with its largest modulus before its first allocation: refuse m_max >=
+    2^31, and coefficients for which a Horner step acc * v + c on residues
     acc, v < m_max could leave int64 (numpy would wrap it silently)."""
+    if m_max >= _VEC_MODULUS_MAX:
+        raise ValueError(f"the int64 kernels take moduli below 2^31, not moduli up to {m_max}")
     if (m_max - 1) ** 2 + max(abs(c) for c in coeffs) >= _INT64_LIMIT:
         raise ValueError(
             f"coefficients too large for the int64 kernel at moduli up to {m_max}"
@@ -399,12 +403,10 @@ def first_zero_scan(
 
     mods = np.asarray(mods, dtype=np.int64)
     caps = np.asarray(caps, dtype=np.int64)
-    if mods.size and int(mods.max()) >= _VEC_MODULUS_MAX:
-        raise ValueError("vector kernel limited to moduli below 2^31")
-    if mods.size and int(mods.min()) < 2:
-        raise ValueError("vector kernel needs moduli >= 2")
     if mods.size:
         check_int64_horner(F.coeffs, int(mods.max()))
+        if int(mods.min()) < 2:
+            raise ValueError("vector kernel needs moduli >= 2")
     steps, period, _ = _first_return_vec(F.coeffs, mods, caps)
     return np.where(period == steps, steps, 0)
 
@@ -442,11 +444,13 @@ def _a_mod_vec(
 @lru_cache(maxsize=8)
 def ord_table(F: IntPolynomial, limit: int) -> np.ndarray:
     """Ranks of apparition for every modulus up to limit, as an int64 array t
-    with t[n] = ord(n) and 0 meaning infinite.  t[1] = 1.  Read-only."""
+    with t[n] = ord(n) and 0 meaning infinite.  t[1] = 1.  Read-only.  limit
+    passes check_int64_horner before the table is allocated."""
     import numpy as np
 
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    check_int64_horner(F.coeffs, limit)
     t = np.zeros(limit + 1, dtype=np.int64)
     t[1] = 1
     mods = np.arange(2, limit + 1, dtype=np.int64)

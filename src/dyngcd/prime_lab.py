@@ -42,7 +42,6 @@ import numpy as np
 
 from .arith_core import sieve_primes
 from .orbit_engine import (
-    _VEC_MODULUS_MAX,
     IntPolynomial,
     _Frozen,
     _horner_vec,
@@ -77,8 +76,6 @@ def is_injective_mod_p(F: IntPolynomial, p: int) -> bool:
         return True
     if e == 2 and p > 2:
         return False
-    if p >= _VEC_MODULUS_MAX:
-        raise ValueError("injectivity table limited to p below 2^31")
     check_int64_horner(F.coeffs, p)
     vals = _horner_vec(F.coeffs, np.arange(p, dtype=np.int64), np.int64(p))
     return int(np.bincount(vals, minlength=p).max()) == 1
@@ -180,9 +177,9 @@ def scan_primes(
     no zero there proves ord(p) > x/p, hence ell(p) = p * ord(p) > x since
     ord < p forces the lcm to be the full product.  Injective primes keep
     cap p so the anomalous case cannot hide.  sieve_bound None is the exact
-    policy, the bound p_max^2, which leaves every cap at p.  p_max must be
-    below 2^31, the lockstep kernel's limit; a larger one is refused before
-    anything is sieved.  The primes are scanned _SCAN_BLOCK at a time.
+    policy, the bound p_max^2, which leaves every cap at p.  p_max passes
+    check_int64_horner before anything is sieved, so a p_max of 2^31 or more
+    costs no sieve.  The primes are scanned _SCAN_BLOCK at a time.
     """
     require_wandering(F)
     if sieve_bound is not None and sieve_bound < 1:
@@ -190,13 +187,11 @@ def scan_primes(
     p_min = max(p_min, 2)
     if p_max < p_min:
         return _EMPTY_SCAN
-    if p_max >= _VEC_MODULUS_MAX:
-        raise ValueError("prime scans are limited to p_max below 2^31")
+    check_int64_horner(F.coeffs, p_max)
     primes = sieve_primes(p_max)
     primes = primes[primes >= p_min]  # a copy: the cached scan keeps no sieve alive
     if not primes.size:
         return _EMPTY_SCAN
-    check_int64_horner(F.coeffs, int(primes[-1]))
     bound = p_max * p_max if sieve_bound is None else min(sieve_bound, p_max * p_max)
     o = np.empty(primes.size, dtype=np.int64)
     inj = np.empty(primes.size, dtype=bool)
@@ -245,15 +240,14 @@ def scan_csv(scan: PrimeScan) -> str:
 def low_rank_primes(F: IntPolynomial, beta: float, x: int) -> list[int]:
     """Primes p <= x whose rank is at most beta * log_d(p), d the degree.
     These are the primes small enough to see their own orbit zero early; the
-    set is conjecturally sparse, growing like a power x^beta at most.  x must
-    be below 2^31, the lockstep kernel's limit."""
+    set is conjecturally sparse, growing like a power x^beta at most.  x
+    passes check_int64_horner before anything is sieved."""
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
     if x < 2:
         return []
     require_wandering(F)
-    if x >= _VEC_MODULUS_MAX:
-        raise ValueError("low-rank scans are limited to x below 2^31")
+    check_int64_horner(F.coeffs, x)
     logd = math.log(F.degree)
     primes = []
     caps = []

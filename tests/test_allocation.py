@@ -1,13 +1,18 @@
-"""Memory guards for the sieve route: the bounded prime scan keeps O(block)
+"""Memory guards: every entry point of the int64 lanes refuses a modulus of
+2^31 or more before it allocates, the bounded prime scan keeps O(block)
 temporaries next to its ord and injective columns, and the sieve marks the B
 and the A classes into one bool array.  tracemalloc sees numpy's buffers, so
 these peaks do not depend on the test process's RSS."""
 
 import tracemalloc
 
-from dyngcd.density_lab import GcdQuery, count_sieve
-from dyngcd.orbit_engine import OrdCache, parse_polynomial
-from dyngcd.prime_lab import scan_primes
+import numpy as np
+import pytest
+
+from dyngcd.cli import main
+from dyngcd.density_lab import GcdQuery, count_oracle, count_sieve
+from dyngcd.orbit_engine import OrdCache, first_zero_scan, ord_table, parse_polynomial
+from dyngcd.prime_lab import is_injective_mod_p, low_rank_primes, scan_primes
 
 F = parse_polynomial("x^2+1")
 
@@ -33,3 +38,31 @@ def test_sieve_count_peak_at_1e7():
     scan_primes.cache_clear()  # the scan's own peak belongs to the measurement
     _, peak = _peak_mb(count_sieve, GcdQuery(OrdCache(F), 1), 10**7)
     assert peak < 30, f"{peak:.2f} MB"
+
+
+# only sizes of 2^31 or more: those are refused before any allocation
+LANE_ENTRY_POINTS = [
+    (first_zero_scan, (F, np.array([2**31]), np.array([5]))),
+    (scan_primes, (F, 2, 2**31)),
+    (low_rank_primes, (F, 2.0, 2**31)),
+    (ord_table, (F, 2**31)),
+    (count_oracle, (GcdQuery(OrdCache(F), 1), 2**31)),
+    # a cubic mod 2^31 has no closed-form answer, so it needs the value table
+    (is_injective_mod_p, (parse_polynomial("x^3+2"), 2**31)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", LANE_ENTRY_POINTS, ids=[fn.__name__ for fn, _ in LANE_ENTRY_POINTS]
+)
+def test_lane_entry_point_refuses_a_modulus_of_2_31(fn, args):
+    with pytest.raises(ValueError, match="moduli below 2\\^31, not moduli up to 2147483648$"):
+        fn(*args)
+
+
+def test_oversized_coefficient_scan_is_refused_before_sieving(capsys):
+    # sieving to 3*10^7 first took a 30 MB mask before the kernel refused
+    argv = ["scan", "--poly", "x^2+100000000000000000000", "--pmax", "30000000"]
+    rc, peak = _peak_mb(main, argv)
+    assert rc == 2 and capsys.readouterr().out == ""
+    assert peak < 1, f"{peak:.2f} MB"

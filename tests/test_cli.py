@@ -441,7 +441,42 @@ def test_scan_past_the_kernel_limit_is_refused_before_sieving(capsys):
     rc, out, err = run(capsys, "scan", "--poly", "x^2+1", "--pmin", "2147483000",
                        "--pmax", "2147484000")
     assert rc == 2 and out == ""
-    assert err == "error: prime scans are limited to p_max below 2^31\n"
+    assert err == "error: the int64 kernels take moduli below 2^31, not moduli up to 2147484000\n"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        # ord_table up to bound^2/9 once asked numpy for 828 GiB
+        ("verify --poly x^2+1 --bound 1000000",
+         "the int64 kernels take moduli below 2^31, not moduli up to 111111111111"),
+        # the oracle once asked numpy for 22.4 GiB
+        ("density --poly x^2+1 --k 1 --x 3000000000 --method oracle",
+         "the int64 kernels take moduli below 2^31, not moduli up to 3000000000"),
+        # the first polynomial's 20 PASS lines once printed before the refusal
+        ("verify --poly x^2+1 --poly 9223372036854775808,0,1 --bound 30",
+         "coefficients too large for the int64 kernel at moduli up to 100"),
+    ],
+)
+def test_refused_command_prints_nothing(capsys, command, message):
+    rc, out, err = run(capsys, *command.split())
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_out_of_memory_exit_code_prints_nothing(capsys, monkeypatch):
+    from dyngcd import density_lab
+
+    # a*x+b = 1500000001 passes the guard, and its 1.5*10^9 lanes would take
+    # 11.2 GiB; the kernel stands in for that allocation
+    def oom(F, x, linear):
+        raise MemoryError("Unable to allocate 11.2 GiB")
+
+    monkeypatch.setattr(density_lab, "_gcd_vector", oom)
+    rc, out, err = run(capsys, "coprime", "--poly", "x^2+1", "--a", "1", "--b", "1",
+                       "--x", "1500000000")
+    assert rc == 2 and out == ""
+    assert err == "error: not enough memory: Unable to allocate 11.2 GiB\n"
 
 
 @pytest.mark.parametrize(
