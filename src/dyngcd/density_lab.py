@@ -586,7 +586,12 @@ def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
         raise ValueError("hit density needs a linear form with k = 1")
     if z < 2 or x < 1:
         raise ValueError("need z >= 2 and x >= 1")
-    pool = _hit_classes(q, scan_primes(q.F, 2, z))
+    return _hit_density(_hit_classes(q, scan_primes(q.F, 2, z)), z, x)
+
+
+def _hit_density(pool, z: int, x: int) -> HitDensity:
+    """The HitDensity of the classes of pool (ascending in p) with p <= z."""
+    pool = [c for c in pool if c[0] <= z]
     hit = _class_sieve(pool, (0, 1), np.zeros(x + 1, dtype=bool))
     marked = int(np.count_nonzero(hit[1:]))
     progs = tuple((r, m) for _, r, m in pool)
@@ -654,10 +659,11 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
 
     at every z in the schedule, with a boundary allowance of one index per
     progression (a progression mod M meets [1, x] at most x/M + 1 times).
-    The classes are _hit_classes', so a prime is charged only when it can
-    divide gcd(a*n+b, a_n): m is ell(p) = p * ord(p) for most primes, and an
-    anomalous prime (ord(p) = p) counts only when p | b.  Violations raise
-    SelfCheckError.
+    The classes are _hit_classes', off one exact scan to the largest of
+    a*x+b and the z's (delta_z takes those with p <= z), so a prime is
+    charged only when it can divide gcd(a*n+b, a_n): m is ell(p) = p * ord(p)
+    for most primes, and an anomalous prime (ord(p) = p) counts only when
+    p | b.  Violations raise SelfCheckError.
     """
     if q.linear is None or q.k != 1:
         raise ValueError("coprime report needs a linear form with k = 1")
@@ -671,22 +677,16 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
     count = int((g[1:] == 1).sum())
     density = count / x
     pmax = a * x + b
-    tail_pool = _hit_classes(q, scan_primes(q.F, 2, pmax))
+    pool = _hit_classes(q, scan_primes(q.F, 2, max([pmax, *zs])))
     checkpoints = []
     for z in zs:
-        hd = small_prime_hit_density(q, z, x)
-        if hd.exact is not None:
-            hit = float(hd.exact)
-        else:
-            hit = hd.marked_density
-        residual = 0.0
-        n_tail = 0
-        for p, _, m in tail_pool:
-            if p > z:
-                residual += 1.0 / m
-                n_tail += 1
-        allowance = (len(hd.progressions) + n_tail) / x
-        lower = 1.0 - hit - residual - allowance
+        hd = _hit_density(pool, z, x)
+        hit = float(hd.exact) if hd.exact is not None else hd.marked_density
+        tail = [m for p, _, m in pool if z < p <= pmax]
+        residual = 0.0  # a loop: from Python 3.12 on, sum() compensates its rounding
+        for m in tail:
+            residual += 1.0 / m
+        lower = 1.0 - hit - residual - (len(hd.progressions) + len(tail)) / x
         if density < lower:
             raise SelfCheckError(
                 f"coprime density {density:.6f} below structural bound {lower:.6f} at z={z}"

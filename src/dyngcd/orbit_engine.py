@@ -625,36 +625,19 @@ def growth_constant_estimate(F: IntPolynomial, n_iters: int) -> float:
     """log|a_n| / d^n at n = n_iters; the sequence converges to the growth
     constant of the orbit (positive for wandering F).
 
-    Exact integers are used until |a_n| > 2R; after that the iteration runs in
-    log space with the dominant-term correction log1p((F(a)-c_d a^d)/(c_d a^d)),
-    which is exact to double precision because the correction shrinks like
-    |a|^(-1).
+    a_j stays exact while it has at most R.bit_length() + 1100 bits, R the
+    escape radius.  Past that F(a) = c_d a^d (1 + delta) with |delta| < R/|a|
+    < 2^-1099, so log|a_(i+1)| = log c_d + d log|a_i| to far below double
+    precision, and log|a_n| / d^n = log|a_j| / d^j + log c_d (d^-j - d^-n) / (d - 1).
     """
     if n_iters < 5:
         raise ValueError("n_iters must be at least 5")
     require_wandering(F)
     d = F.degree
-    cd = F.coeffs[-1]
-    R = F.escape_radius
-    v = 0
-    n = 0
-    while n < n_iters and abs(v) <= 2 * R:
+    max_bits = F.escape_radius.bit_length() + 1100
+    v, j = 0, 0
+    while j < n_iters and abs(v).bit_length() <= max_bits:
         v = F.eval_int(v)
-        n += 1
-    if n == n_iters:
-        return math.log(abs(v)) / d**n
-    L = math.log(abs(v))
-    s = 1 if v > 0 else -1
-    logcd = math.log(cd)
-    while n < n_iters:
-        # a = s*e^L, so c_i a^(i-d) / c_d = (c_i/c_d) * s^(i-d) * e^((i-d)L)
-        delta = 0.0
-        for i, c in enumerate(F.coeffs[:-1]):
-            if c == 0:
-                continue
-            sgn = 1 if (d - i) % 2 == 0 else s
-            delta += (c / cd) * sgn * math.exp((i - d) * L)
-        L = logcd + d * L + math.log1p(delta)
-        s = s if d % 2 == 1 else 1
-        n += 1
-    return L / d**n
+        j += 1
+    tail = math.log(F.coeffs[-1]) * (d**-j - d**-n_iters) / (d - 1)
+    return math.log(abs(v)) / d**j + tail

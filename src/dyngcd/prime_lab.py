@@ -32,6 +32,7 @@ Quadratics, cubics and quartics build at most a handful.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from fractions import Fraction
@@ -267,14 +268,16 @@ def low_rank_primes(F: IntPolynomial, beta: float, x: int) -> list[int]:
 def low_rank_growth(
     F: IntPolynomial, beta: float, xs
 ) -> tuple[list[tuple[int, int, float, bool]], bool]:
-    """Count low-rank primes at each x and compare against C * x^beta with C
-    calibrated at the smallest checkpoint.  Rows are (x, count, bound,
-    within); the second return value says whether any row broke the bound.
-    Diagnostic only: a break is reported, not treated as an error."""
+    """Count low-rank primes at each x, off one low_rank_primes walk at the
+    largest x (a prime's cap depends only on p), and compare against
+    C * x^beta with C calibrated at the smallest checkpoint.  Rows are (x,
+    count, bound, within); the second return value says whether any row
+    broke the bound.  Diagnostic only: a break is reported, not an error."""
     xs = sorted(set(int(x) for x in xs))
     if not xs:
         raise ValueError("need at least one checkpoint")
-    counts = [len(low_rank_primes(F, beta, x)) for x in xs]
+    primes = low_rank_primes(F, beta, xs[-1])
+    counts = [bisect.bisect_right(primes, x) for x in xs]
     scale = max(counts[0], 1) / xs[0] ** beta
     rows = []
     for x, cnt in zip(xs, counts):

@@ -46,6 +46,8 @@ DEFAULT_POLYS = (
     IntPolynomial((1, 0, 1, 1)),
 )
 
+_ORACLE_PROBE = 10**4  # the oracle's x in the nonempty and subset_collapse suites
+
 
 class SuiteResult(NamedTuple):
     name: str
@@ -312,9 +314,7 @@ def _suite_inclusion_exclusion(F, bound, cache, table):
 
 
 def _suite_nonempty(F, bound, cache, table):
-    xprobe = 10**4
-    g = _gcd_vector(F, xprobe, None)
-    checked = 0
+    g = _gcd_vector(F, _ORACLE_PROBE, None)
     for k in range(1, bound // 6 + 1):
         q = GcdQuery(cache, k)
         nb, na = b_nonempty(q), a_nonempty(q)
@@ -323,17 +323,16 @@ def _suite_nonempty(F, bound, cache, table):
         bfirst = int(np.nonzero(bmask)[0][0]) + 1 if bmask.any() else None
         afirst = int(np.nonzero(g[1:] == k)[0][0]) + 1 if (g[1:] == k).any() else None
         if nb.holds:
-            if lk <= xprobe and bfirst != int(lk):
+            if lk <= _ORACLE_PROBE and bfirst != int(lk):
                 return False, f"k={k}: first B member {bfirst}, criterion says {lk}"
         elif bfirst is not None:
             return False, f"k={k}: criterion empty but {bfirst} lies in B"
         if na.holds:
-            if lk <= xprobe and afirst != int(lk):
+            if lk <= _ORACLE_PROBE and afirst != int(lk):
                 return False, f"k={k}: first A member {afirst}, criterion says {lk}"
         elif afirst is not None:
             return False, f"k={k}: criterion empty but {afirst} lies in A"
-        checked += 1
-    return True, f"criteria match a search to {xprobe} for k <= {bound // 6}"
+    return True, f"criteria match a search to {_ORACLE_PROBE} for k <= {bound // 6}"
 
 
 def _suite_series_cauchy(F, bound, cache, table):
@@ -352,7 +351,7 @@ def _suite_series_cauchy(F, bound, cache, table):
 
 def _suite_subset_collapse(F, bound, cache, table):
     x = 2000
-    g = _gcd_vector(F, x, None)
+    g = _gcd_vector(F, _ORACLE_PROBE, None)[: x + 1]  # g[n] does not depend on x
     for k in range(1, 7):
         amask = g[1:] == k
         bmask = _b_mask(g[1:], k)

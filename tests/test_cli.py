@@ -168,6 +168,50 @@ def test_coprime_skips_anomalous_tail_prime_whose_class_is_empty(capsys):
     assert out.endswith(f"  z=2  {tail}  z=3  {tail}")
 
 
+@pytest.mark.parametrize("argv, want", [
+    # z = 900 is past a*x+b = 603: no tail class is left, and the residual
+    # is the float 0.0, printed as such
+    (
+        "--poly x^3+1 --a 2 --b 3 --x 300 --z 2 --z 3 --z 500 --z 900",
+        '{"a":2,"b":3,"checkpoints":['
+        '{"hit_exact":0.0,"lower_bound":0.32713004901204396,"residual":0.4495366176546227,"z":2},'
+        '{"hit_exact":0.3333333333333333,"lower_bound":0.32713004901204407,'
+        '"residual":0.11620328432128933,"z":3},'
+        '{"hit_exact":0.39,"lower_bound":0.38655436856964703,"residual":0.0001122980970195778,"z":500},'
+        '{"hit_exact":0.39,"lower_bound":0.3133333333333333,"residual":0.0,"z":900}],'
+        '"count_coprime":183,"density":0.61,"poly":"1,0,0,1","x":300}\n',
+    ),
+    # the union walk passes its budget, so hit_exact is the marked density
+    (
+        "--poly x^2+1 --a 2 --b 1 --x 5000 --z 2000",
+        '{"a":2,"b":1,"checkpoints":[{"hit_exact":0.0892,"lower_bound":0.9030975395952028,'
+        '"residual":0.00010246040479722585,"z":2000}],'
+        '"count_coprime":4553,"density":0.9106,"poly":"1,0,1","x":5000}\n',
+    ),
+    # z past a*x+b = 601, with 1,175 classes up to z
+    (
+        "--poly x^3+1 --a 6 --b 1 --x 100 --z 20000",
+        '{"a":6,"b":1,"checkpoints":[{"hit_exact":0.14,"lower_bound":-10.89,'
+        '"residual":0.0,"z":20000}],'
+        '"count_coprime":86,"density":0.86,"poly":"1,0,0,1","x":100}\n',
+    ),
+], ids=["empty_tail", "marked_density", "z_past_tail"])
+def test_coprime_json_pinned(capsys, argv, want):
+    rc, out, err = run(capsys, "coprime", *argv.split(), "--format", "json")
+    assert (rc, out, err) == (0, want, "")
+
+
+def test_coprime_makes_one_scan(capsys):
+    # the default schedule z = 10, 100, 1000 and the tail to a*x+b = 4001
+    # all read one exact scan
+    from dyngcd import prime_lab
+
+    prime_lab.scan_primes.cache_clear()
+    rc, _, _ = run(capsys, "coprime", "--poly", "x^2+1", "--a", "2", "--b", "1", "--x", "2000")
+    assert rc == 0
+    assert prime_lab.scan_primes.cache_info().misses == 1
+
+
 def test_verify_small_bound(capsys):
     rc, out, _ = run(capsys, "verify", "--poly", "x^2+1", "--bound", "30")
     assert rc == 0

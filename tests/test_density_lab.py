@@ -350,6 +350,16 @@ def test_lower_bound_values():
     assert y_k_lower_bound(GcdQuery(OrdCache(F), 3), 1000) == 0
 
 
+def test_verify_builds_two_oracle_vectors():
+    # oracle_sieve's vector at x = 1500 and one at 10^4 that the nonempty and
+    # subset_collapse suites share
+    from dyngcd.verify import run_suites
+
+    density_lab._gcd_vector.cache_clear()
+    assert all(r.ok for r in run_suites(F, 90))
+    assert density_lab._gcd_vector.cache_info().misses == 2
+
+
 def test_lower_bound_reuses_the_sieve_scan():
     # the bounded pool spells its scan once, so it is a scan_primes cache hit
     q = GcdQuery(OrdCache(F), 2)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyngcd
-from dyngcd import prime_lab
+from dyngcd import density_lab, prime_lab
 from dyngcd.arith_core import crt_pair, factorize
 from dyngcd.density_lab import (
     GcdQuery,
@@ -29,9 +29,11 @@ from dyngcd.density_lab import (
     count_oracle,
     count_sieve,
     floor_identity_B,
+    linear_coprime_report,
     series_checkpoints,
     series_density_A,
     series_density_B,
+    small_prime_hit_density,
     y_k_lower_bound,
 )
 from dyngcd.orbit_engine import (
@@ -44,15 +46,17 @@ from dyngcd.orbit_engine import (
     _first_return_vec,
     _horner_vec,
     a_mod,
+    a_value,
     classify_orbit,
     ell,
     first_zero_scan,
+    growth_constant_estimate,
     ord_crt,
     ord_direct,
     ord_direct_capped,
     ord_table,
 )
-from dyngcd.prime_lab import scan_primes
+from dyngcd.prime_lab import low_rank_growth, low_rank_primes, scan_primes
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -661,6 +665,72 @@ def test_B_series_is_the_sum_over_its_own_walk(F, k, T):
                 if d > got.T // 2:
                     block += 1.0 / m
         assert (got.value.hex(), got.last_block.hex()) == (total.hex(), block.hex())
+
+
+# ---------------------------------------------------------------------------
+# one pass per schedule against a pass per point
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    F=WANDERING,
+    ab=st.tuples(st.integers(1, 9), st.integers(1, 50)).filter(lambda ab: math.gcd(*ab) == 1),
+    x=st.integers(1, 2000),
+    zs=st.lists(st.integers(2, 3000), max_size=4),
+)
+def test_coprime_report_matches_a_scan_per_z(F, ab, x, zs):
+    # each z's own scan and hit density, and the tail of a scan to a*x+b
+    # walked again for every z, one index of allowance per class.  A small
+    # union budget keeps each walk short and takes the marked-density
+    # fallback often; both sides read the same budget
+    q = GcdQuery(OrdCache(F), 1, linear=ab)
+    budget = mock.patch.object(density_lab, "_UNION_NODE_MAX", 2000)
+    with budget:
+        got = linear_coprime_report(q, x, zs).checkpoints
+    tail_pool = _hit_classes(q, scan_primes(F, 2, ab[0] * x + ab[1]))
+    want = []
+    for z in sorted(set(zs)):
+        with budget:
+            hd = small_prime_hit_density(q, z, x)
+        hit = float(hd.exact) if hd.exact is not None else hd.marked_density
+        residual, n_tail = 0.0, 0
+        for p, _, m in tail_pool:
+            if p > z:
+                residual += 1.0 / m
+                n_tail += 1
+        lower = 1.0 - hit - residual - (len(hd.progressions) + n_tail) / x
+        want.append((z, hit.hex(), residual.hex(), lower.hex()))
+    assert [(c.z, *(v.hex() for v in c[1:])) for c in got] == want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    F=WANDERING,
+    beta=st.sampled_from((0.5, 1.0, 2.0)),
+    xs=st.lists(st.integers(1, 20000), min_size=1, max_size=4),
+)
+def test_low_rank_growth_matches_a_walk_per_x(F, beta, xs):
+    rows, _ = low_rank_growth(F, beta, xs)
+    want = [(x, len(low_rank_primes(F, beta, x))) for x in sorted(set(xs))]
+    assert [(x, count) for x, count, *_ in rows] == want
+
+
+GROWTH_POLYS = st.builds(
+    lambda low, lead: IntPolynomial(tuple(low) + (lead,)),
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(st.integers(-(2**16) + 1, 2**16 - 1), min_size=d, max_size=d)
+    ),
+    st.integers(1, 2**16 - 1),
+).filter(lambda F: classify_orbit(F).wandering)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(F=GROWTH_POLYS, n=st.integers(5, 10))
+def test_growth_constant_matches_the_exact_orbit_value(F, n):
+    # a_n stays small enough to build exactly; its logarithm is the reference
+    want = math.log(abs(a_value(F, n))) / F.degree**n
+    assert abs(growth_constant_estimate(F, n) - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -358,3 +358,10 @@ def test_growth_constant():
         growth_constant_estimate(F, 4)
     with pytest.raises(PreperiodicOrbitError):
         growth_constant_estimate(parse_polynomial("x^2-2"), 8)
+
+
+def test_growth_constant_past_float_range_of_d_to_the_n():
+    # d^n passes the float range at n = 1024 for d = 2; the estimate has long
+    # converged by then
+    for n in (1030, 2000, 100000):
+        assert growth_constant_estimate(F, n) == pytest.approx(0.2036772614, abs=1e-10)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dyngcd import prime_lab
 from dyngcd.orbit_engine import parse_polynomial
 from dyngcd.prime_lab import (
     anomalous_report,
@@ -211,3 +212,11 @@ def test_tail_partial_sum():
         tail_partial_sum(F, 10, 1000, 0.75, 0.25)
     with pytest.raises(ValueError):
         tail_partial_sum(F, 1000, 10, 0.25, 0.75)
+
+
+def test_low_rank_growth_walks_once(monkeypatch):
+    calls = []
+    walk = prime_lab.first_zero_scan
+    monkeypatch.setattr(prime_lab, "first_zero_scan", lambda *a: calls.append(1) or walk(*a))
+    low_rank_growth(F, 0.5, (1000, 5000, 10000))
+    assert len(calls) == 1
