@@ -11,8 +11,10 @@ the first 12 prime bases, which has no false positive below 3.18 * 10^23.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
+from collections.abc import Iterator
 from typing import NamedTuple
 
 # lcm_checked signals above this (unsigned 64-bit range).
@@ -23,19 +25,62 @@ U64_MAX = 2**64 - 1
 MODULUS_MAX = 2**62
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 numpy array (empty for
-    limit < 2)."""
+# prime_blocks sieves this many odd numbers at a time, so that its working
+# set is a 128 KB mask and the primes of one segment.  Each segment costs one
+# slice per base prime, so the length trades time at large limits for memory
+# at small ones.  On a 2-vCPU Xeon the sieve to 10^9 took 8.9 s in segments
+# of 2^16, 6.3 s in 2^17, 4.8 s in 2^18 and 3.1 s in 2^20 (0.25 s to 10^8
+# from 2^17 up), while `density --method sieve` at x = 10^6 peaked 0.3 MB
+# higher in RSS at 2^18 than at 2^17.
+_SIEVE_SEGMENT = 1 << 17
+
+
+def prime_blocks(limit: int) -> Iterator[np.ndarray]:
+    """The primes <= limit, ascending, as int64 numpy blocks: one block per
+    segment of an odd-only segmented sieve of Eratosthenes (Bays and Hudson,
+    BIT 17 (1977) 121-127).  Index j of a segment stands for the odd number
+    2j + 1; the odd base primes up to sqrt(limit) come from the same sieve
+    and mark the segments one after another, so the sieve holds one segment
+    at a time whatever the limit."""
     import numpy as np  # on first call, so that importing arith_core stays cheap
 
     if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+        return
+    # the odd primes up to sqrt(limit), which mark the segments.  Lists and
+    # only numpy calls that the scans make anyway: the first call of each
+    # numpy function in a command maps about 64 KB more of numpy's code.
+    odd = [p for block in prime_blocks(math.isqrt(limit)) for p in block.tolist()][1:]
+    squares = [p * p for p in odd]
+    base = np.array(odd, dtype=np.int64)
+    n_odd = (limit + 1) // 2  # the odd numbers 1, 3, ..., up to limit
+    for j0 in range(0, n_odd, _SIEVE_SEGMENT):
+        seg = np.ones(min(_SIEVE_SEGMENT, n_odd - j0), dtype=bool)
+        # the base primes with p^2 up to the segment's last odd number
+        live = base[: bisect.bisect_left(squares, 2 * (j0 + seg.size))]
+        # the odd multiples of p have j = p // 2 (mod p); start at p^2
+        at_square = live * live // 2 - j0
+        past_j0 = (live // 2 - j0) % live
+        starts = np.where(at_square > past_j0, at_square, past_j0)
+        for p, start in zip(live.tolist(), starts.tolist()):
+            seg[start::p] = False
+        primes = np.flatnonzero(seg).astype(np.int64, copy=False)
+        del seg  # freed before the consumer runs, which keeps its working set small
+        primes *= 2
+        primes += 2 * j0 + 1
+        if j0 == 0:
+            primes[0] = 2  # index 0 stands for 1, which is no prime: put 2 there
+        yield primes
+
+
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as an int64 numpy array (empty for
+    limit < 2): prime_blocks, concatenated."""
+    import numpy as np
+
+    blocks = list(prime_blocks(limit))
+    if len(blocks) < 2:  # no copy, and no concatenate below 2^18
+        return blocks[0] if blocks else np.zeros(0, dtype=np.int64)
+    return np.concatenate(blocks)
 
 
 class FactoredInteger(NamedTuple):

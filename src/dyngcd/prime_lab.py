@@ -4,7 +4,10 @@ and the handful of summary statistics built from those scans.
 
 A scan returns columns, not one object per prime: the primes, their ranks
 and their injectivity as read-only numpy arrays (PrimeScan), with pretty,
-anomalous and ell as array expressions over them.
+anomalous and ell as array expressions over them.  One block loop
+(_scan_blocks) has two readers: scan_primes keeps every row, and ell_pool
+takes the primes a segment at a time from the sieve and keeps only the rows
+the gcd sieve at x needs.
 
 A scan is exact when every prime gets the full cap p (ord(p) <= p whenever it
 is finite, so no-zero-by-p settles infinite rank); the kernel's cycle
@@ -35,13 +38,14 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith_core import sieve_primes
+from .arith_core import prime_blocks, sieve_primes
 from .orbit_engine import (
     IntPolynomial,
     _Frozen,
@@ -166,6 +170,56 @@ def _injective_column(F: IntPolynomial, primes: np.ndarray) -> np.ndarray:
 # rank.  A lockstep round over 8,192 lanes costs about 30 times a round's
 # fixed cost (130 us against 4 us for x^2+1 on a 2-vCPU Xeon).
 _SCAN_BLOCK = 1 << 13
+# ell_pool scans in blocks of this many primes.  Under the bound x a block
+# past the first few has caps of x/p + 1 steps, so blocks half as long cost
+# the pool no time (1.3-1.6 s at 10^8 either way on a 2-vCPU Xeon), and they
+# halve the kernel's lanes, the largest working set of the sieve route: at
+# x = 10^6 `density --method sieve` peaked 0.4 MB lower in RSS than with
+# blocks of 8,192.
+_POOL_BLOCK = 1 << 12
+
+
+def _prime_run(limit: int, size: int) -> Iterator[np.ndarray]:
+    """The primes up to limit, ascending, in blocks of size (the last one
+    shorter), cut from prime_blocks' segments as they come: views of the
+    segment, except for the one block that spans two, since a copy of each
+    segment would stay alive next to the kernel (0.25 MB more RSS at 10^6)."""
+    rest = np.zeros(0, dtype=np.int64)
+    for seg in prime_blocks(limit):
+        if rest.size:  # complete the held block from the segment's head
+            head = size - rest.size
+            rest, seg = np.concatenate((rest, seg[:head])), seg[head:]
+            if rest.size < size:
+                continue
+            yield rest
+        full = seg.size - seg.size % size
+        for lo in range(0, full, size):
+            yield seg[lo : lo + size]
+        rest = seg[full:].copy()
+    if rest.size:
+        yield rest
+
+
+def _scan_blocks(
+    F: IntPolynomial, blocks, bound: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(primes, ord, injective) of each block of primes under the sieve
+    bound: non-injective primes get cap min(p, bound // p + 1), injective
+    ones cap p, and a rank is 0 when no zero showed within cap p, -1 when
+    none showed within a smaller cap.  The caller has passed
+    check_int64_horner with its largest prime."""
+    for ps in blocks:
+        inj = _injective_column(F, ps)
+        caps = np.where(inj, ps, np.minimum(ps, bound // ps + 1))
+        found = first_zero_scan(F, ps, caps)
+        o = np.where(found > 0, found, np.where(caps >= ps, 0, -1))
+        bad = inj & (o == 0)
+        if bad.any():
+            p = int(ps[bad][0])
+            raise AssertionError(
+                f"injective map mod {p} must have finite rank; scan says otherwise"
+            )
+        yield ps, o, inj
 
 
 @lru_cache(maxsize=32)
@@ -196,20 +250,31 @@ def scan_primes(
     bound = p_max * p_max if sieve_bound is None else min(sieve_bound, p_max * p_max)
     o = np.empty(primes.size, dtype=np.int64)
     inj = np.empty(primes.size, dtype=bool)
-    for lo in range(0, primes.size, _SCAN_BLOCK):
-        block = slice(lo, lo + _SCAN_BLOCK)
-        ps = primes[block]
-        inj[block] = _injective_column(F, ps)
-        caps = np.where(inj[block], ps, np.minimum(ps, bound // ps + 1))
-        found = first_zero_scan(F, ps, caps)
-        o[block] = np.where(found > 0, found, np.where(caps >= ps, 0, -1))
-    bad = inj & (o == 0)
-    if bad.any():
-        p = int(primes[bad][0])
-        raise AssertionError(
-            f"injective map mod {p} must have finite rank; scan says otherwise"
-        )
+    blocks = [slice(lo, lo + _SCAN_BLOCK) for lo in range(0, primes.size, _SCAN_BLOCK)]
+    scanned = _scan_blocks(F, (primes[block] for block in blocks), bound)
+    for block, (_, o_block, inj_block) in zip(blocks, scanned):
+        o[block], inj[block] = o_block, inj_block
     return PrimeScan(primes, o, inj)
+
+
+@lru_cache(maxsize=32)
+def ell_pool(F: IntPolynomial, x: int) -> PrimeScan:
+    """The rows of scan_primes(F, 2, x, sieve_bound=x) with a finite rank
+    and ell(p) <= x, the pool of the gcd sieve at x, without the rest: the
+    primes come a segment at a time from the sieve and each block keeps only
+    these rows, so the pool reader holds one segment and one block next to
+    them, whatever x.  x passes check_int64_horner before the first segment
+    is sieved."""
+    require_wandering(F)
+    if x < 2:
+        return _EMPTY_SCAN
+    check_int64_horner(F.coeffs, x)
+    rows = []
+    for ps, o, inj in _scan_blocks(F, _prime_run(x, _POOL_BLOCK), x):
+        keep = np.flatnonzero(o > 0)
+        keep = keep[np.lcm(ps[keep], o[keep]) <= x]
+        rows.append((ps[keep], o[keep], inj[keep]))
+    return PrimeScan(*(np.concatenate(col) for col in zip(*rows)))
 
 
 def scan_csv(scan: PrimeScan) -> str:

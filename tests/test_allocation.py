@@ -1,8 +1,9 @@
 """Memory guards: every entry point of the int64 lanes refuses a modulus of
-2^31 or more before it allocates, the bounded prime scan keeps O(block)
-temporaries next to its ord and injective columns, and the sieve marks the B
-and the A classes into one bool array.  tracemalloc sees numpy's buffers, so
-these peaks do not depend on the test process's RSS."""
+2^31 or more before it allocates, the prime scan keeps O(block) temporaries
+next to its columns, the pool reader keeps only its pool, and the sieve
+marks the B and the A classes one segment at a time.  tracemalloc
+sees numpy's buffers, so these peaks do not depend on the test process's
+RSS."""
 
 import tracemalloc
 
@@ -12,7 +13,7 @@ import pytest
 from dyngcd.cli import main
 from dyngcd.density_lab import GcdQuery, count_oracle, count_sieve
 from dyngcd.orbit_engine import OrdCache, first_zero_scan, ord_table, parse_polynomial
-from dyngcd.prime_lab import is_injective_mod_p, low_rank_primes, scan_primes
+from dyngcd.prime_lab import ell_pool, is_injective_mod_p, low_rank_primes, scan_primes
 
 F = parse_polynomial("x^2+1")
 
@@ -27,23 +28,35 @@ def _peak_mb(fn, *args, **kwargs):
 
 
 def test_bounded_scan_peak_stays_near_its_columns():
-    # 78,498 primes: the sieve's 1 MB mask, the primes and the two columns
-    # (about 1.3 MB), and one block's temporaries
+    # 78,498 primes: the sieve's segments and their concatenation (0.6 MB
+    # each), the ord and injective columns (0.7 MB) block by block and then
+    # whole, and one block's temporaries
     scan, peak = _peak_mb(scan_primes.__wrapped__, F, 2, 10**6, sieve_bound=10**6)
     assert len(scan) == 78498
     assert peak < 3, f"{peak:.2f} MB"
 
 
+def test_pool_reader_peak_stays_near_one_block():
+    # the 78,498 primes of the bounded scan come and go a segment at a time;
+    # only the 42 rows with ell(p) <= 10^6 stay
+    pool, peak = _peak_mb(ell_pool.__wrapped__, F, 10**6)
+    assert len(pool) == 42
+    assert peak < 1.5, f"{peak:.2f} MB"
+
+
 def test_sieve_count_peak_at_1e7():
-    scan_primes.cache_clear()  # the scan's own peak belongs to the measurement
+    # at k = 1 a whole hit array would take 10 MB and the full scan's
+    # columns 8.5 MB; the sieve route holds one segment of each
+    ell_pool.cache_clear()  # the pool reader's own peak belongs to the measurement
     _, peak = _peak_mb(count_sieve, GcdQuery(OrdCache(F), 1), 10**7)
-    assert peak < 30, f"{peak:.2f} MB"
+    assert peak < 3, f"{peak:.2f} MB"
 
 
 # only sizes of 2^31 or more: those are refused before any allocation
 LANE_ENTRY_POINTS = [
     (first_zero_scan, (F, np.array([2**31]), np.array([5]))),
     (scan_primes, (F, 2, 2**31)),
+    (ell_pool, (F, 2**31)),
     (low_rank_primes, (F, 2.0, 2**31)),
     (ord_table, (F, 2**31)),
     (count_oracle, (GcdQuery(OrdCache(F), 1), 2**31)),

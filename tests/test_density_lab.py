@@ -40,7 +40,7 @@ from dyngcd.density_lab import (
     small_prime_hit_density,
     y_k_lower_bound,
 )
-from dyngcd.prime_lab import scan_primes
+from dyngcd.prime_lab import ell_pool, scan_primes
 from dyngcd.verify import DEFAULT_POLYS
 
 F = parse_polynomial("x^2+1")
@@ -361,13 +361,28 @@ def test_verify_builds_two_oracle_vectors():
 
 
 def test_lower_bound_reuses_the_sieve_scan():
-    # the bounded pool spells its scan once, so it is a scan_primes cache hit
+    # the sieve, the avoidance bound and the floor identity read one pool at
+    # x, and none of them makes a full scan
     q = GcdQuery(OrdCache(F), 2)
-    count_sieve(q, 1237)
+    ell_pool.cache_clear()
     misses = scan_primes.cache_info().misses
+    count_sieve(q, 1237)
     y_k_lower_bound(q, 1237)
     floor_identity_B(q, 1237)
+    assert ell_pool.cache_info().misses == 1
     assert scan_primes.cache_info().misses == misses
+
+
+def test_lower_bound_leaves_the_cached_pool_alone():
+    # the avoidance bound adds the classes of the primes of k to its pool;
+    # the pool the sieve and the floor identity read stays as it was
+    q = GcdQuery(OrdCache(F), 10)
+    ell_pool.cache_clear()
+    want = count_sieve(q, 5000), floor_identity_B(q, 5000)
+    y = y_k_lower_bound(q, 5000)
+    assert y_k_lower_bound(q, 5000) == y
+    assert (count_sieve(q, 5000), floor_identity_B(q, 5000)) == want
+    assert ell_pool.cache_info().misses == 1
 
 
 def test_lower_bound_stays_below_counts():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dyngcd
-from dyngcd import density_lab, prime_lab
+from dyngcd import arith_core, density_lab, prime_lab
 from dyngcd.arith_core import crt_pair, factorize
 from dyngcd.density_lab import (
     GcdQuery,
@@ -55,6 +55,7 @@ from dyngcd.orbit_engine import (
     ord_direct,
     ord_direct_capped,
     ord_table,
+    parse_polynomial,
 )
 from dyngcd.prime_lab import low_rank_growth, low_rank_primes, scan_primes
 
@@ -339,6 +340,80 @@ def test_scan_blocks_change_no_column(F, data):
                 assert np.array_equal(getattr(got, col), getattr(want, col)), (block, col)
 
 
+def plain_primes(limit: int) -> list[int]:
+    """The primes <= limit by a whole-range sieve of Eratosthenes."""
+    mask = [False, False] + [True] * max(limit - 1, 0)
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = [False] * len(range(p * p, limit + 1, p))
+    return [n for n in range(limit + 1) if mask[n]]
+
+
+def _sieve_limits(seg: int) -> list[int]:
+    """Limits 0-3, the edges of the first segments of seg odd numbers (a
+    segment ends at the odd number 2 * seg * i - 1) and the squares of the
+    base primes, each with its neighbours."""
+    edges = [2 * seg * i - 1 for i in range(1, 5)] + [p * p for p in (3, 5, 7, 11, 13, 31)]
+    return sorted({0, 1, 2, 3} | {e + d for e in edges for d in (-1, 0, 1) if e + d >= 0})
+
+
+@pytest.mark.parametrize("seg", [1, 2, 3, 5, 8, 64, arith_core._SIEVE_SEGMENT])
+def test_segmented_sieve_matches_plain_eratosthenes(seg):
+    limits = _sieve_limits(seg)
+    with mock.patch.object(arith_core, "_SIEVE_SEGMENT", seg):
+        for limit in limits:
+            got = arith_core.sieve_primes(limit)
+            assert got.dtype == np.int64 and got.tolist() == plain_primes(limit), limit
+        blocks = list(arith_core.prime_blocks(limits[-1]))
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert np.concatenate(blocks).tolist() == plain_primes(limits[-1])
+
+
+def _sieve_route(q: GcdQuery, x: int) -> tuple:
+    cuts = sorted(set(c for c in (x // 4, x // 2, x) if c >= 1))
+    return (
+        density_lab._sieve_counts(q, x, cuts),
+        floor_identity_B(q, x),
+        y_k_lower_bound(q, x),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    poly=st.sampled_from(["x^2+1", "x^2+x+1", "x^3+x^2+1", "x^2+3"]),
+    k=st.integers(1, 12),
+    x=st.integers(1, 3000),
+    sizes=st.tuples(st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 3, 64]),
+                    st.sampled_from([1, 2, 5, 64])),
+)
+def test_segments_change_no_sieve_count(poly, k, x, sizes):
+    # the prime sieve's segments, the scan's blocks and the marking's
+    # segments, each patched to a tiny length, against the default lengths
+    q = GcdQuery(OrdCache(parse_polynomial(poly)), k)
+    prime_lab.ell_pool.cache_clear()
+    want = _sieve_route(q, x)
+    seg, block, mark = sizes
+    with (
+        mock.patch.object(arith_core, "_SIEVE_SEGMENT", seg),
+        mock.patch.object(prime_lab, "_POOL_BLOCK", block),
+        mock.patch.object(density_lab, "_MARK_SEGMENT", mark),
+    ):
+        prime_lab.ell_pool.cache_clear()
+        got = _sieve_route(q, x)
+    prime_lab.ell_pool.cache_clear()
+    assert got == want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(F=polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), x=st.integers(1, 2999))
+def test_pool_reader_keeps_the_exact_scans_pretty_rows_with_small_ell(F, x):
+    exact = scan_primes(F, 2, x)
+    keep = exact.pretty & (exact.ell <= x)
+    pool = prime_lab.ell_pool.__wrapped__(F, x)
+    for col in ("p", "ord", "injective"):
+        assert np.array_equal(getattr(pool, col), getattr(exact, col)[keep]), col
+
+
 @st.composite
 def shifted_cubes(draw):
     """c3 (x + s)^3 + c0 with every coefficient inside the guard's edge: a
@@ -557,6 +632,23 @@ def test_class_sieve_marks_the_indices_of_some_class(classes, base, j_max):
     half = len(pool) // 2
     hit = _class_sieve(pool[:half], base, np.zeros(j_max + 1, dtype=bool))
     assert _class_sieve(pool[half:], base, hit).tolist() == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    classes=st.lists(RESIDUE_CLASS, max_size=8),
+    base=st.integers(1, 30).flatmap(lambda m: st.tuples(st.integers(0, m - 1), st.just(m))),
+    j_max=st.integers(0, 300),
+    seg=st.integers(1, 40),
+)
+def test_class_sieve_in_segments_marks_the_same_indices(classes, base, j_max, seg):
+    pool = [(p, r, m) for p, (r, m) in zip(PRIMES_TO_37, classes)]
+    want = _class_sieve(pool, base, np.zeros(j_max + 1, dtype=bool)).tolist()
+    got = []
+    for j0 in range(0, j_max + 1, seg):
+        hit = np.zeros(min(seg, j_max + 1 - j0), dtype=bool)
+        got += _class_sieve(pool, base, hit, j0).tolist()
+    assert got == want
 
 
 WANDERING = st.builds(

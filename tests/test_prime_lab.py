@@ -143,8 +143,11 @@ def test_scans_past_the_kernel_limit_are_refused_before_sieving(monkeypatch):
         raise AssertionError(f"sieved up to {limit}")
 
     monkeypatch.setattr(prime_lab, "sieve_primes", no_sieve)
+    monkeypatch.setattr(prime_lab, "prime_blocks", no_sieve)
     with pytest.raises(ValueError, match="2\\^31"):
         scan_primes(F, 2**31 - 1000, 2**31)
+    with pytest.raises(ValueError, match="2\\^31"):
+        prime_lab.ell_pool(F, 2**31)
     with pytest.raises(ValueError, match="2\\^31"):
         low_rank_primes(F, 2.0, 2**31)
     assert len(scan_primes(F, 2**31 + 5, 2**31)) == 0  # empty range, nothing to refuse
