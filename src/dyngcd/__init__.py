@@ -25,9 +25,8 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "AnomalousReport", "PrimeScan", "anomalous_report",
-            "is_injective_mod_p", "low_rank_primes", "mertens_pretty_product",
-            "pretty_prime_density", "scan_csv", "scan_primes", "tail_partial_sum",
+            "PrimeScan", "is_injective_mod_p", "low_rank_primes", "scan_csv",
+            "scan_primes",
         ),
         "prime_lab",
     ),

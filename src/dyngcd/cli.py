@@ -201,35 +201,27 @@ def cmd_coprime(ns) -> int:
 
 
 def cmd_diag(ns) -> int:
-    from .prime_lab import (
-        anomalous_report,
-        low_rank_growth,
-        mertens_pretty_product,
-        pretty_prime_density,
-        tail_partial_sum,
-    )
+    from .prime_lab import low_rank_growth, scan_primes
 
     F = parse_polynomial(ns.poly)
     require_wandering(F)
     x = ns.x
-    val, comp = tail_partial_sum(F, ns.z, x, ns.eps, ns.veps)
-    rows, flagged = low_rank_growth(F, ns.beta, sorted({max(x // 100, 100), max(x // 10, 100), x}))
+    if x < 2:
+        raise ValueError("--x must be >= 2")
+    checkpoints = {min(max(c, 100), x) for c in (x // 100, x // 10, x)}
+    rows, _ = low_rank_growth(F, ns.beta, checkpoints)
+    scan = scan_primes(F, 2, x)
+    pretty = int(scan.pretty.sum())
     print(f"# low-rank primes (beta={ns.beta})")
-    for rx, cnt, bnd, within in rows:
-        mark = "" if within else "  *above*"
-        print(f"x={rx}  count={cnt}  power_bound={bnd:.1f}{mark}")
-    if flagged:
-        print("note: growth above the calibrated power curve")
-    print(f"# rank-weighted tail (z={ns.z}, eps={ns.eps}, veps={ns.veps})")
-    print(f"partial_sum={val:.6e}  comparator={comp:.6e}")
+    for rx, cnt, _, _ in rows:
+        print(f"x={rx}  count={cnt}")
     print("# pretty primes")
-    dens = pretty_prime_density(F, x)
-    prod, cnt = mertens_pretty_product(F, x)
-    print(f"density={dens:.4f}  mertens_product={prod:.6f} over {cnt} primes")
+    print(f"pretty={pretty} of {len(scan)} primes  share={pretty / len(scan):.4f}")
     print("# growth constant")
     print(f"log a_n / d^n -> {growth_constant_estimate(F, 12):.9f}")
-    print("# primes dividing their own index term")
-    print(anomalous_report(F, x).to_json())
+    print("# primes p <= x dividing a_p")
+    print(f"anomalous (ord = p): {scan.p[scan.anomalous].tolist()}")
+    print(f"F(0) divisors (ord = 1): {scan.p[scan.ord == 1].tolist()}")
     return 0
 
 
@@ -293,13 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_coprime)
 
-    p = sub.add_parser("diag", help="diagnostic tables")
+    p = sub.add_parser("diag", help="low-rank counts, pretty and anomalous primes")
     p.add_argument("--poly", required=True)
     p.add_argument("--x", type=int, default=10**4)
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--z", type=int, default=100)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--veps", type=float, default=0.75)
     p.set_defaults(func=cmd_diag)
 
     return ap

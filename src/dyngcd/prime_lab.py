@@ -1,6 +1,6 @@
 """Per-prime structure of an orbit sequence: ranks of apparition over a range
 of primes, injectivity of the reduced map, the anomalous/pretty bookkeeping,
-and the handful of summary statistics built from those scans.
+and the count of low-rank primes.
 
 A scan returns columns, not one object per prime: the primes, their ranks
 and their injectivity as read-only numpy arrays (PrimeScan), with pretty,
@@ -36,12 +36,9 @@ Quadratics, cubics and quartics build at most a handful.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -299,7 +296,7 @@ def scan_csv(scan: PrimeScan) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scan-derived statistics
+# low-rank primes
 # ---------------------------------------------------------------------------
 
 
@@ -341,6 +338,8 @@ def low_rank_growth(
     xs = sorted(set(int(x) for x in xs))
     if not xs:
         raise ValueError("need at least one checkpoint")
+    if xs[0] < 1:
+        raise ValueError("checkpoints must be >= 1")
     primes = low_rank_primes(F, beta, xs[-1])
     counts = [bisect.bisect_right(primes, x) for x in xs]
     scale = max(counts[0], 1) / xs[0] ** beta
@@ -349,70 +348,3 @@ def low_rank_growth(
         bound = scale * x**beta
         rows.append((x, cnt, bound, cnt <= bound or x == xs[0]))
     return rows, not all(within for *_, within in rows)
-
-
-def mertens_pretty_product(F: IntPolynomial, bound: int) -> tuple[float, int]:
-    """Product of (1 - 1/q) over pretty primes q <= bound, with the count of
-    factors.  The heuristic density of integers coprime to every pretty prime."""
-    scan = scan_primes(F, 2, bound)
-    pretty = scan.p[scan.pretty].tolist()
-    prod = Fraction(1)
-    for p in pretty:
-        prod *= Fraction(p - 1, p)
-    return float(prod), len(pretty)
-
-
-def pretty_prime_density(F: IntPolynomial, x: int) -> float:
-    """Fraction of primes up to x that divide some orbit term."""
-    scan = scan_primes(F, 2, x)
-    if not len(scan):
-        raise ValueError("no primes up to x")
-    return int(np.count_nonzero(scan.pretty)) / len(scan)
-
-
-class AnomalousReport(NamedTuple):
-    """Survey of the primes with p | a_p: rank exactly p (anomalous) or rank 1
-    (divisors of the first orbit term).  partial_sum is sum of 1/p over both
-    lists; the verdict is 'plausibly nice' only when no anomalous prime sits
-    in (sqrt(x), x], the window a finite scan can actually vouch for."""
-
-    poly: str
-    x: int
-    anomalous_primes: tuple[int, ...]
-    f0_divisors: tuple[int, ...]
-    partial_sum: float
-    verdict: str
-
-    def to_json(self) -> str:
-        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
-
-
-def anomalous_report(F: IntPolynomial, x: int) -> AnomalousReport:
-    scan = scan_primes(F, 2, x)
-    anom = tuple(scan.p[scan.anomalous].tolist())
-    f0 = tuple(scan.p[scan.ord == 1].tolist())
-    partial = sum(1.0 / p for p in anom) + sum(1.0 / p for p in f0)
-    clean = all(p * p <= x for p in anom)
-    verdict = "plausibly nice" if clean else "inconclusive"
-    return AnomalousReport(F.coeff_key(), x, anom, f0, partial, verdict)
-
-
-def tail_partial_sum(
-    F: IntPolynomial, z: int, x: int, eps: float, veps: float
-) -> tuple[float, float]:
-    """Partial sum over pretty primes z < p <= x of
-
-        (log p)^eps / (p * ord(p)^veps)
-
-    next to the comparator 1 / (log z)^(veps - eps) it should stay below once
-    z is large.  Both are returned; nothing is asserted."""
-    if not (0 <= eps < veps):
-        raise ValueError("need 0 <= eps < veps")
-    if not (2 <= z < x):
-        raise ValueError("need 2 <= z < x")
-    scan = scan_primes(F, 2, x)
-    tail = scan.pretty & (scan.p > z)
-    total = 0.0
-    for p, o in zip(scan.p[tail].tolist(), scan.ord[tail].tolist()):
-        total += math.log(p) ** eps / (p * o**veps)
-    return total, 1.0 / math.log(z) ** (veps - eps)

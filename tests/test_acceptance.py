@@ -2,7 +2,8 @@
 budgets.  Each prints one PASS/FAIL line (run pytest with -s to see them all)
 and fails its test on any miss."""
 
-import json
+import contextlib
+import io
 import math
 import time
 from fractions import Fraction
@@ -10,13 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from dyngcd.orbit_engine import OrdCache, parse_polynomial
-from dyngcd.prime_lab import (
-    anomalous_report,
-    low_rank_growth,
-    mertens_pretty_product,
-    scan_primes,
-    tail_partial_sum,
-)
+from dyngcd.cli import main
+from dyngcd.prime_lab import scan_primes
 from dyngcd.orbit_engine import nu_p_of_a
 from dyngcd.density_lab import (
     GcdQuery,
@@ -187,23 +183,35 @@ def test_acceptance_09_nonemptiness_criteria():
           f"(first member is ell(k) exactly); disagreements: {bad or 'none'}")
 
 
+# diag at x = 10^4: the low-rank counts at x/100, x/10 and x, the pretty
+# primes out of the 1229 primes up to 10^4, the growth constant, then the
+# anomalous primes and the prime divisors of F(0)
+DIAG_ROWS = {
+    "x^2+1": (39, "0.0317", "0.203677261", [2], []),
+    "x^2+x+1": (17, "0.0138", "0.325764577", [], []),
+    "x^3+x^2+1": (33, "0.0269", "0.134067255", [], []),
+}
+
+
 def test_acceptance_10_diagnostics_emit():
     t0 = time.time()
-    rows, flagged = low_rank_growth(F1, 0.5, (1000, 10**4))
-    tail, comp = tail_partial_sum(F1, 20, 2000, 0.25, 0.75)
-    mp, nfac = mertens_pretty_product(F1, 1000)
-    rep = json.loads(anomalous_report(F1, 1000).to_json())
-    shape_ok = (
-        len(rows) == 2
-        and all(len(r) == 4 for r in rows)
-        and tail > 0
-        and comp > 0
-        and 0 < mp < 1
-        and nfac > 0
-        and rep["verdict"] in ("plausibly nice", "inconclusive")
-    )
+    bad = []
+    for poly, (pretty, share, growth, anomalous, f0) in DIAG_ROWS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["diag", "--poly", poly, "--x", "10000"])
+        want = (
+            "# low-rank primes (beta=0.5)\n"
+            "x=100  count=0\nx=1000  count=0\nx=10000  count=0\n"
+            "# pretty primes\n"
+            f"pretty={pretty} of 1229 primes  share={share}\n"
+            f"# growth constant\nlog a_n / d^n -> {growth}\n"
+            "# primes p <= x dividing a_p\n"
+            f"anomalous (ord = p): {anomalous}\nF(0) divisors (ord = 1): {f0}\n"
+        )
+        if rc != 0 or out.getvalue() != want:
+            bad.append(poly)
     dt = time.time() - t0
-    _line(10, shape_ok and dt < 60,
-          f"diagnostic surfaces emit: {len(rows)} growth rows (flagged={flagged}), "
-          f"tail {tail:.3e} vs comparator {comp:.3e}, product {mp:.4f} over {nfac} primes, "
-          f"survey verdict '{rep['verdict']}', {dt:.1f}s (budget 60s)")
+    _line(10, not bad and dt < 60,
+          f"diag prints the pinned exact rows for {len(DIAG_ROWS)} polynomials at x=10^4, "
+          f"{dt:.1f}s (budget 60s); mismatches: {bad or 'none'}")

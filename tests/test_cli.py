@@ -223,8 +223,56 @@ def test_verify_small_bound(capsys):
 def test_diag_runs(capsys):
     rc, out, _ = run(capsys, "diag", "--poly", "x^2+1", "--x", "500")
     assert rc == 0
-    assert "mertens_product" in out
-    assert "partial_sum" in out
+    assert out.startswith("# low-rank primes (beta=0.5)\nx=100  count=0\nx=500  count=0\n")
+    assert "pretty=9 of 95 primes  share=0.0947\n" in out
+
+
+def test_diag_prints_exactly_these_rows_at_2000(capsys):
+    rc, out, _ = run(capsys, "diag", "--poly", "x^2+1", "--x", "2000")
+    assert rc == 0
+    assert out == (
+        "# low-rank primes (beta=0.5)\n"
+        "x=100  count=0\n"
+        "x=200  count=0\n"
+        "x=2000  count=0\n"
+        "# pretty primes\n"
+        "pretty=21 of 303 primes  share=0.0693\n"
+        "# growth constant\n"
+        "log a_n / d^n -> 0.203677261\n"
+        "# primes p <= x dividing a_p\n"
+        "anomalous (ord = p): [2]\n"
+        "F(0) divisors (ord = 1): []\n"
+    )
+
+
+@pytest.mark.parametrize("x", ["2", "50", "99"])
+def test_diag_checkpoints_never_exceed_x(capsys, x):
+    rc, out, _ = run(capsys, "diag", "--poly", "x^2+1", "--x", x)
+    assert rc == 0
+    assert [l.split()[0] for l in out.split("\n") if l.startswith("x=")] == [f"x={x}"]
+
+
+def test_diag_accepts_x_100(capsys):
+    rc, out, err = run(capsys, "diag", "--poly", "x^2+1", "--x", "100")
+    assert rc == 0 and err == ""
+    assert "x=100  count=0\n# pretty primes\npretty=4 of 25 primes" in out
+
+
+def test_diag_prints_the_anomalous_prime_2_of_x2_plus_1(capsys):
+    _, out, _ = run(capsys, "diag", "--poly", "x^2+1", "--x", "100")
+    assert "anomalous (ord = p): [2]\nF(0) divisors (ord = 1): []\n" in out
+
+
+def test_diag_prints_the_prime_divisors_of_f0(capsys):
+    # F(0) = 6 for x^2+6, so 2 and 3 have rank 1
+    _, out, _ = run(capsys, "diag", "--poly", "x^2+6", "--x", "10")
+    assert "anomalous (ord = p): []\nF(0) divisors (ord = 1): [2, 3]\n" in out
+
+
+def test_diag_prints_the_pretty_share_to_20(capsys):
+    # 2, 5 and 17 of the 8 primes up to 20 divide a term of x^2+1's orbit
+    _, out, _ = run(capsys, "diag", "--poly", "x^2+1", "--x", "20")
+    assert "pretty=3 of 8 primes  share=0.3750\n" in out
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +490,8 @@ def test_verify_refuses_preperiodic_poly_before_any_suite(capsys, poly_args):
         ("density --poly x^2+1 --k 5 --x 100 --T -5", "T must be >= 1"),
         ("series --poly x^2+1 --k 1 --T 0", "T must be >= 1"),
         # diag and coprime refuse these before printing anything
-        ("diag --poly x^2+1 --x 0", "need 2 <= z < x"),
-        ("diag --poly x^2+1 --x -5", "need 2 <= z < x"),
-        ("diag --poly x^2+1 --x 200 --z 1", "need 2 <= z < x"),
-        ("diag --poly x^2+1 --x 200 --veps -1", "need 0 <= eps < veps"),
-        ("diag --poly x^2+1 --x 200 --eps -0.5", "need 0 <= eps < veps"),
+        ("diag --poly x^2+1 --x 0", "--x must be >= 2"),
+        ("diag --poly x^2+1 --x -5", "--x must be >= 2"),
         ("diag --poly x^2+1 --x 200 --beta 0", "beta must be positive and finite"),
         ("diag --poly x^2+1 --x 200 --beta inf", "beta must be positive and finite"),
         ("coprime --poly x^2+1 --a 2 --b 13 --x 100 --z 1", "need z >= 2"),

@@ -1,20 +1,15 @@
 import copy
-import json
 
 import pytest
 
 from dyngcd import prime_lab
 from dyngcd.orbit_engine import parse_polynomial
 from dyngcd.prime_lab import (
-    anomalous_report,
     is_injective_mod_p,
     low_rank_growth,
     low_rank_primes,
-    mertens_pretty_product,
-    pretty_prime_density,
     scan_csv,
     scan_primes,
-    tail_partial_sum,
 )
 
 F = parse_polynomial("x^2+1")
@@ -172,49 +167,9 @@ def test_low_rank_growth_shape():
     assert isinstance(flagged, bool)
 
 
-def test_mertens_pretty_product():
-    value, count = mertens_pretty_product(F, 20)
-    assert count == 3
-    assert value == pytest.approx(24 / 65, abs=1e-15)
-
-
-def test_pretty_prime_density():
-    assert pretty_prime_density(F, 20) == pytest.approx(3 / 8)
-
-
-def test_anomalous_report_verdicts():
-    rep = anomalous_report(F, 100)
-    assert rep.anomalous_primes == (2,)
-    assert rep.f0_divisors == ()
-    assert rep.partial_sum == pytest.approx(0.5)
-    assert rep.verdict == "plausibly nice"
-    # at x = 2 the anomalous prime 2 sits inside (sqrt(x), x]
-    assert anomalous_report(F, 2).verdict == "inconclusive"
-
-
-def test_anomalous_report_first_term_divisors():
-    rep = anomalous_report(parse_polynomial("x^2+6"), 10)
-    assert rep.f0_divisors == (2, 3)
-    assert rep.partial_sum == pytest.approx(1 / 2 + 1 / 3)
-
-
-def test_anomalous_report_json():
-    rep = anomalous_report(F, 100)
-    decoded = json.loads(rep.to_json())
-    assert decoded["anomalous_primes"] == [2]
-    assert decoded["verdict"] == "plausibly nice"
-    assert rep.to_json() == anomalous_report(F, 100).to_json()
-
-
-def test_tail_partial_sum():
-    value, comparator = tail_partial_sum(F, 10, 1000, 0.25, 0.75)
-    assert value == pytest.approx(0.049193433, abs=1e-8)
-    assert comparator == pytest.approx(0.659010229, abs=1e-8)
-    assert 0 < value < comparator
-    with pytest.raises(ValueError):
-        tail_partial_sum(F, 10, 1000, 0.75, 0.25)
-    with pytest.raises(ValueError):
-        tail_partial_sum(F, 1000, 10, 0.25, 0.75)
+def test_low_rank_growth_refuses_a_checkpoint_below_one():
+    with pytest.raises(ValueError, match="checkpoints must be >= 1"):
+        low_rank_growth(F, 0.5, (0, 100))
 
 
 def test_low_rank_growth_walks_once(monkeypatch):
