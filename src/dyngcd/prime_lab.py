@@ -4,24 +4,24 @@ and the count of low-rank primes.
 
 A scan returns columns, not one object per prime: the primes, their ranks
 and their injectivity as read-only numpy arrays (PrimeScan), with pretty,
-anomalous and ell as array expressions over them.  One block loop
-(_scan_blocks) has two readers: scan_primes keeps every row, and ell_pool
-takes the primes a segment at a time from the sieve and keeps only the rows
+anomalous and ell as array expressions over them.  One block loop (_scan)
+walks the primes as they come from the segmented sieve and has two readers:
+scan_primes keeps every row of its window, and ell_pool keeps only the rows
 the gcd sieve at x needs.
 
-A scan is exact when every prime gets the full cap p (ord(p) <= p whenever it
-is finite, so no-zero-by-p settles infinite rank); the kernel's cycle
+scan_primes is exact: every prime gets the full cap p (ord(p) <= p whenever
+it is finite, so no-zero-by-p settles infinite rank); the kernel's cycle
 detection retires an infinite-rank prime long before that, after about
-sqrt(p) steps.  Under a sieve bound x the cap drops to about x/p for the large
-primes; a prime that shows no zero by then has ell(p) > x, which is all the
-gcd sieve needs, but its rank is recorded as -1 (unresolved) rather than
-guessed.  The one trap in that shortcut is an anomalous prime (ord(p) = p, so
-ell(p) = p <= x); those are exactly the primes whose reduced map is
-injective, so the scan screens injectivity first and gives injective primes
-their full cap.  The screen reduces the coefficients mod every prime in one
-array operation and decides most primes in closed form, after Dickson's
-classification of the normalized permutation polynomials of degree <= 5
-(Lidl and Niederreiter, Finite Fields, Table 7.1):
+sqrt(p) steps.  Only ell_pool bounds the caps, to about x/p for the large
+primes: a prime that shows no zero by then has ell(p) > x and leaves the
+pool, so no rank short of exact ever leaves the module.  The one trap in
+that shortcut is an anomalous prime (ord(p) = p, so ell(p) = p <= x); those
+are exactly the primes whose reduced map is injective, so the scan screens
+injectivity first and gives injective primes their full cap.  The screen
+reduces the coefficients mod every prime in one array operation and decides
+most primes in closed form, after Dickson's classification of the normalized
+permutation polynomials of degree <= 5 (Lidl and Niederreiter, Finite
+Fields, Table 7.1):
 
 - reduced degree 0 is not injective, degree 1 is;
 - degree 2 is not at an odd prime (x and c - x collide);
@@ -87,9 +87,8 @@ class PrimeScan(_Frozen):
     """A scan's result as three read-only columns, one row per prime.
 
     p holds the primes in ascending order.  ord holds each rank of
-    apparition, with 0 for a rank proven infinite and -1 for a rank left
-    unresolved under a sieve bound (which still certifies ell(p) > bound).
-    injective says whether x -> F(x) is a bijection mod p."""
+    apparition, with 0 for a rank proven infinite.  injective says whether
+    x -> F(x) is a bijection mod p."""
 
     __slots__ = ("p", "ord", "injective")
 
@@ -113,9 +112,9 @@ class PrimeScan(_Frozen):
 
     @property
     def ell(self) -> np.ndarray:
-        """ell(p) = lcm(p, ord(p)) for a finite rank, else ord's 0 or -1;
-        p * ord < p^2 < 2^62 for p < 2^31, so it fits int64."""
-        return np.where(self.pretty, np.lcm(self.p, self.ord), self.ord)
+        """ell(p) = lcm(p, ord(p)) for a finite rank, else 0 (lcm(p, 0) is
+        0); p * ord < p^2 < 2^62 for p < 2^31, so it fits int64."""
+        return np.lcm(self.p, self.ord)
 
 
 _EMPTY_SCAN = PrimeScan(
@@ -162,10 +161,10 @@ def _injective_column(F: IntPolynomial, primes: np.ndarray) -> np.ndarray:
 
 # scan_primes runs its per-prime pipeline over blocks of this many primes, so
 # that its temporaries (the caps, the kernel's lanes, about a dozen int64
-# arrays) take O(block) memory and only the ord and injective columns grow
-# with the scan.  The lanes are independent, so the block size changes no
-# rank.  A lockstep round over 8,192 lanes costs about 30 times a round's
-# fixed cost (130 us against 4 us for x^2+1 on a 2-vCPU Xeon).
+# arrays) take O(block) memory and only the columns grow with the scan.  The
+# lanes are independent, so the block size changes no rank.  A lockstep round
+# over 8,192 lanes costs about 30 times a round's fixed cost (130 us against
+# 4 us for x^2+1 on a 2-vCPU Xeon).
 _SCAN_BLOCK = 1 << 13
 # ell_pool scans in blocks of this many primes.  Under the bound x a block
 # past the first few has caps of x/p + 1 steps, so blocks half as long cost
@@ -197,92 +196,70 @@ def _prime_run(limit: int, size: int) -> Iterator[np.ndarray]:
         yield rest
 
 
-def _scan_blocks(
-    F: IntPolynomial, blocks, bound: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(primes, ord, injective) of each block of primes under the sieve
-    bound: non-injective primes get cap min(p, bound // p + 1), injective
-    ones cap p, and a rank is 0 when no zero showed within cap p, -1 when
-    none showed within a smaller cap.  The caller has passed
-    check_int64_horner with its largest prime."""
+def _scan(F: IntPolynomial, blocks, bound: int, keep) -> PrimeScan:
+    """The rows keep(primes, ord) picks out of each block of primes, as one
+    PrimeScan.  Non-injective primes get cap min(p, bound // p + 1) and
+    injective ones cap p; ord is the least r within the cap with a_r = 0
+    mod p, or 0 when there is none.  blocks must yield at least one block,
+    and the caller has passed check_int64_horner with its largest prime."""
+    cols = [[], [], []]  # p, ord and injective, one part per block
     for ps in blocks:
         inj = _injective_column(F, ps)
-        caps = np.where(inj, ps, np.minimum(ps, bound // ps + 1))
-        found = first_zero_scan(F, ps, caps)
-        o = np.where(found > 0, found, np.where(caps >= ps, 0, -1))
-        bad = inj & (o == 0)
-        if bad.any():
-            p = int(ps[bad][0])
+        o = first_zero_scan(F, ps, np.where(inj, ps, np.minimum(ps, bound // ps + 1)))
+        bad = ps[inj & (o == 0)]
+        if bad.size:
             raise AssertionError(
-                f"injective map mod {p} must have finite rank; scan says otherwise"
-            )
-        yield ps, o, inj
+                f"injective map mod {bad[0]} must have finite rank; scan says otherwise")
+        i = keep(ps, o)
+        for col, part in zip(cols, (ps[i], o[i], inj[i])):
+            col.append(part)
+    # a column's parts go as soon as it is joined: they overlap the whole
+    # columns by one column only
+    return PrimeScan(*(np.concatenate(cols.pop(0)) for _ in range(3)))
 
 
 @lru_cache(maxsize=32)
-def scan_primes(
-    F: IntPolynomial, p_min: int, p_max: int, sieve_bound: int | None = None
-) -> PrimeScan:
-    """Scan all primes in [p_min, p_max] for their rank of apparition.
-
-    With a bound x, non-injective primes get cap min(p, x // p + 1): seeing
-    no zero there proves ord(p) > x/p, hence ell(p) = p * ord(p) > x since
-    ord < p forces the lcm to be the full product.  Injective primes keep
-    cap p so the anomalous case cannot hide.  sieve_bound None is the exact
-    policy, the bound p_max^2, which leaves every cap at p.  p_max passes
-    check_int64_horner before anything is sieved, so a p_max of 2^31 or more
-    costs no sieve.  The primes are scanned _SCAN_BLOCK at a time.
-    """
+def scan_primes(F: IntPolynomial, p_min: int, p_max: int) -> PrimeScan:
+    """Scan all primes in [p_min, p_max] for their rank of apparition,
+    exactly: under the bound p_max^2 every prime keeps cap p, and ord(p) <= p
+    whenever it is finite, so ord is 0 only for a rank proven infinite.  The
+    primes come from the sieve _SCAN_BLOCK at a time, and each block drops
+    its primes below p_min before its walk.  p_max passes check_int64_horner
+    before anything is sieved, so a p_max of 2^31 or more costs no sieve."""
     require_wandering(F)
-    if sieve_bound is not None and sieve_bound < 1:
-        raise ValueError("sieve_bound must be >= 1")
     p_min = max(p_min, 2)
     if p_max < p_min:
         return _EMPTY_SCAN
     check_int64_horner(F.coeffs, p_max)
-    primes = sieve_primes(p_max)
-    primes = primes[primes >= p_min]  # a copy: the cached scan keeps no sieve alive
-    if not primes.size:
-        return _EMPTY_SCAN
-    bound = p_max * p_max if sieve_bound is None else min(sieve_bound, p_max * p_max)
-    o = np.empty(primes.size, dtype=np.int64)
-    inj = np.empty(primes.size, dtype=bool)
-    blocks = [slice(lo, lo + _SCAN_BLOCK) for lo in range(0, primes.size, _SCAN_BLOCK)]
-    scanned = _scan_blocks(F, (primes[block] for block in blocks), bound)
-    for block, (_, o_block, inj_block) in zip(blocks, scanned):
-        o[block], inj[block] = o_block, inj_block
-    return PrimeScan(primes, o, inj)
+    blocks = (ps[np.searchsorted(ps, p_min) :] for ps in _prime_run(p_max, _SCAN_BLOCK))
+    return _scan(F, blocks, p_max * p_max, lambda ps, o: slice(None))
 
 
 @lru_cache(maxsize=32)
 def ell_pool(F: IntPolynomial, x: int) -> PrimeScan:
-    """The rows of scan_primes(F, 2, x, sieve_bound=x) with a finite rank
-    and ell(p) <= x, the pool of the gcd sieve at x, without the rest: the
-    primes come a segment at a time from the sieve and each block keeps only
-    these rows, so the pool reader holds one segment and one block next to
-    them, whatever x.  x passes check_int64_horner before the first segment
-    is sieved."""
+    """The rows of scan_primes(F, 2, x) with ell(p) <= x, the pool of the
+    gcd sieve at x.  Non-injective primes get cap min(p, x // p + 1): no zero
+    there proves ord(p) > x/p, hence ell(p) = p * ord(p) > x (ord < p makes
+    the lcm the full product), so every row the cap leaves open is dropped.
+    Injective primes keep cap p, so an anomalous prime (ell(p) = p <= x)
+    cannot hide.  Each block keeps only the pool's rows, so the reader holds
+    one segment and one block next to them, whatever x.  x passes
+    check_int64_horner before the first segment is sieved."""
     require_wandering(F)
     if x < 2:
         return _EMPTY_SCAN
     check_int64_horner(F.coeffs, x)
-    rows = []
-    for ps, o, inj in _scan_blocks(F, _prime_run(x, _POOL_BLOCK), x):
-        keep = np.flatnonzero(o > 0)
-        keep = keep[np.lcm(ps[keep], o[keep]) <= x]
-        rows.append((ps[keep], o[keep], inj[keep]))
-    return PrimeScan(*(np.concatenate(col) for col in zip(*rows)))
+
+    def in_pool(ps, o):
+        i = np.flatnonzero(o > 0)
+        return i[np.lcm(ps[i], o[i]) <= x]
+
+    return _scan(F, _prime_run(x, _POOL_BLOCK), x, in_pool)
 
 
 def scan_csv(scan: PrimeScan) -> str:
-    """CSV dump of an exact scan: p,ord,pretty,anomalous,injective,ell with 0
-    standing for an infinite ord or ell.  Unresolved rows are refused."""
-    unresolved = scan.ord < 0
-    if unresolved.any():
-        p = int(scan.p[unresolved][0])
-        raise ValueError(
-            f"p={p} is unresolved; export needs an exact scan (no sieve bound)"
-        )
+    """CSV dump of a scan: p,ord,pretty,anomalous,injective,ell with 0
+    standing for an infinite ord or ell."""
     parts = ["p,ord,pretty,anomalous,injective,ell\n"]
     # _SCAN_BLOCK rows at a time, so that only one block's Python ints and row
     # strings are alive at once

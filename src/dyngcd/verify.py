@@ -25,7 +25,7 @@ from .orbit_engine import (
     ord_crt,
     ord_table,
 )
-from .prime_lab import low_rank_growth, scan_primes
+from .prime_lab import ell_pool, low_rank_growth, scan_primes
 from .density_lab import (
     GcdQuery,
     _b_mask,
@@ -239,11 +239,9 @@ def _suite_record_consistency(F, bound, cache, table):
     scan = scan_primes(F, 2, tlim)
     p, o = scan.p, scan.ord
     checks = (
-        (o < 0, "exact scan left p={p} unresolved"),
         ((o != 0) & ((o < 1) | (o > p)), "ord({p}) = {o} out of range"),
         (scan.anomalous != (o == p), "anomalous flag wrong at p={p}"),
         (scan.injective & (o == 0), "injective p={p} with infinite rank"),
-        (scan.pretty & (scan.ell != np.lcm(p, o)), "ell({p}) inconsistent"),
         (table[p] != o, "scan and table disagree at p={p}"),
     )
     for bad, message in checks:
@@ -256,21 +254,20 @@ def _suite_record_consistency(F, bound, cache, table):
 def _suite_scan_policies(F, bound, cache, table):
     x = min(5000, 50 * bound // 3)
     exact = scan_primes(F, 2, x)
-    sieved = scan_primes(F, 2, x, sieve_bound=x)
-    if not np.array_equal(exact.p, sieved.p):
+    pool = ell_pool(F, x)
+    kept = np.isin(exact.p, pool.p)
+    if np.count_nonzero(kept) != len(pool):
         return False, "policies scanned different primes"
-    unresolved = sieved.ord < 0
-    i = _first_row(unresolved & (exact.ell > 0) & (exact.ell <= x))
+    want = exact.pretty & (exact.ell <= x)
+    i = _first_row(want & ~kept)
     if i is not None:
         return False, f"p={int(exact.p[i])}: bound scan dropped ell = {int(exact.ell[i])} <= {x}"
-    differ = (
-        (sieved.ord != exact.ord)
-        | (sieved.anomalous != exact.anomalous)
-        | (sieved.injective != exact.injective)
-    )
-    i = _first_row(~unresolved & differ)
+    differ = ~want[kept]
+    for col in ("p", "ord", "injective"):
+        differ |= getattr(exact, col)[kept] != getattr(pool, col)
+    i = _first_row(differ)
     if i is not None:
-        return False, f"p={int(exact.p[i])}: policies disagree"
+        return False, f"p={int(pool.p[i])}: policies disagree"
     return True, f"bounded scan consistent with exact up to {x}"
 
 

@@ -1,7 +1,7 @@
 """Memory guards: every entry point of the int64 lanes refuses a modulus of
-2^31 or more before it allocates, the prime scan keeps O(block) temporaries
-next to its columns, the pool reader keeps only its pool, and the sieve
-marks the B and the A classes one segment at a time.  tracemalloc
+2^31 or more before it allocates, the exact prime scan keeps O(block)
+temporaries next to its columns, the pool reader keeps only its pool, and
+the sieve marks the B and the A classes one segment at a time.  tracemalloc
 sees numpy's buffers, so these peaks do not depend on the test process's
 RSS."""
 
@@ -27,11 +27,12 @@ def _peak_mb(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_bounded_scan_peak_stays_near_its_columns():
-    # 78,498 primes: the sieve's segments and their concatenation (0.6 MB
-    # each), the ord and injective columns (0.7 MB) block by block and then
-    # whole, and one block's temporaries
-    scan, peak = _peak_mb(scan_primes.__wrapped__, F, 2, 10**6, sieve_bound=10**6)
+def test_exact_scan_peak_stays_near_its_columns():
+    # 78,498 primes: the sieve's segments, cut into blocks as they come, the
+    # ord and injective columns (0.7 MB) block by block and then whole, and
+    # one block's temporaries; no whole-range sieve array and no filtered
+    # copy of it
+    scan, peak = _peak_mb(scan_primes.__wrapped__, F, 2, 10**6)
     assert len(scan) == 78498
     assert peak < 3, f"{peak:.2f} MB"
 

@@ -295,16 +295,11 @@ def table_injective(F: IntPolynomial, p: int) -> bool:
     return np.array_equal(np.sort(vals), np.arange(p))
 
 
-def plain_scan_ord(F: IntPolynomial, p: int, injective: bool, bound) -> int:
-    """The scan's ord entry for p from a plain orbit walk: the rank when it
-    lies within the policy's cap, else 0 (cap p, so the rank is infinite) or
-    -1 (unresolved under the bound)."""
+def plain_scan_ord(F: IntPolynomial, p: int) -> int:
+    """The exact scan's ord entry for p from a plain orbit walk: the rank, or
+    0 when it is infinite."""
     tail, period, _ = plain_orbit(F, p)
-    rank = period if tail == 0 else None  # 0 recurs only if it is on the cycle
-    cap = p if bound is None or injective else min(p, bound // p + 1)
-    if rank is not None and rank <= cap:
-        return rank
-    return 0 if cap >= p else -1
+    return period if tail == 0 else 0  # 0 recurs only if it is on the cycle
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -313,31 +308,48 @@ def test_scan_columns_match_plain_walk_and_value_table(F, data):
     p_min = data.draw(st.integers(2, 3000))
     p_max = data.draw(st.integers(p_min, 3000))
     below = data.draw(st.integers(1, max(1, p_max - 1)))
-    above = data.draw(st.one_of(st.integers(p_max, 2 * p_max**2), st.just(10**30)))
     primes = [p for p in range(p_min, p_max + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
     injective = [table_injective(F, p) for p in primes]
-    for bound in (None, below, above):
-        scan = scan_primes(F, p_min, p_max, bound)
-        assert len(scan) == len(primes) and scan.p.tolist() == primes
-        assert scan.injective.tolist() == injective
-        want = [plain_scan_ord(F, p, i, bound) for p, i in zip(primes, injective)]
-        assert scan.ord.tolist() == want
-        assert scan.ell.tolist() == [math.lcm(p, o) if o > 0 else o for p, o in zip(primes, want)]
+    want = [plain_scan_ord(F, p) for p in primes]
+    scan = scan_primes(F, p_min, p_max)
+    assert scan.p.tolist() == primes
+    assert scan.injective.tolist() == injective
+    assert scan.ord.tolist() == want
+    assert scan.ell.tolist() == [math.lcm(p, o) for p, o in zip(primes, want)]
+    # the pool at x under its bounded caps: the rows p >= p_min with a
+    # finite rank and ell(p) <= x
+    for x in (below, p_max):
+        pool = prime_lab.ell_pool.__wrapped__(F, x)
+        window = pool.p >= p_min
+        rows = list(zip(*(c[window].tolist() for c in (pool.p, pool.ord, pool.injective))))
+        assert rows == [(p, o, i) for p, o, i in zip(primes, want, injective)
+                        if o > 0 and math.lcm(p, o) <= x]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(F=polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), data=st.data())
 def test_scan_blocks_change_no_column(F, data):
-    p_min = data.draw(st.integers(2, 500))
-    p_max = data.draw(st.integers(p_min, 1000))
-    bound = data.draw(st.integers(1, 2 * p_max**2))
-    for policy in (None, bound):
-        want = scan_primes.__wrapped__(F, p_min, p_max, policy)  # one block
-        for block in (1, 2, 7, 64):
-            with mock.patch.object(prime_lab, "_SCAN_BLOCK", block):
-                got = scan_primes.__wrapped__(F, p_min, p_max, policy)
+    # the window [p_min, p_max] cut from blocks of 1, 2, 7 and 64 primes and
+    # sieve segments of 1, 2, 7 and 64 odd numbers, against the rows
+    # p >= p_min of one scan from 2 at the default lengths (one block)
+    p_max = data.draw(st.integers(2, 1000))
+    whole = scan_primes.__wrapped__(F, 2, p_max)
+    for block in (1, 2, 7, 64):
+        # the window opens at primes[j]; j % block != 0 puts a block across it
+        inside = [j for j in range(len(whole)) if j % block or block == 1]
+        j = data.draw(st.sampled_from(inside or [0]))
+        low = int(whole.p[j - 1]) + 1 if j else 2
+        p_min = data.draw(st.integers(low, int(whole.p[j])))
+        keep = whole.p >= p_min
+        for seg in (1, 2, 7, 64):
+            with (
+                mock.patch.object(prime_lab, "_SCAN_BLOCK", block),
+                mock.patch.object(arith_core, "_SIEVE_SEGMENT", seg),
+            ):
+                got = scan_primes.__wrapped__(F, p_min, p_max)
             for col in ("p", "ord", "injective"):
-                assert np.array_equal(getattr(got, col), getattr(want, col)), (block, col)
+                got_col, want_col = getattr(got, col), getattr(whole, col)[keep]
+                assert np.array_equal(got_col, want_col), (block, seg, col)
 
 
 def plain_primes(limit: int) -> list[int]:

@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 from dyngcd import prime_lab
@@ -94,21 +95,51 @@ def test_scan_range_edges():
     assert scan_primes(F, 10, 20).p.tolist() == [11, 13, 17, 19]
 
 
-def test_sieve_bound_policy_agrees_with_exact():
-    """Unresolved records under a bound must really have ell past the bound."""
+def test_pool_reader_agrees_with_exact():
+    """The bounded pool holds exactly the exact scan's rows with ell <= x."""
     exact = _rows(scan_primes(F, 2, 997))
-    for p, rec in _rows(scan_primes(F, 2, 997, sieve_bound=50)).items():
-        truth = exact[p]
-        if rec[0] == -1:  # unresolved
-            assert not rec[1]
-            assert truth[4] == 0 or truth[4] > 50
-        else:
-            assert (rec[0], rec[2]) == (truth[0], truth[2])
+    for x in (50, 997):
+        want = {p: rec for p, rec in exact.items() if rec[1] and rec[4] <= x}
+        assert _rows(prime_lab.ell_pool(F, x)) == want
 
 
-def test_sieve_bound_never_misses_anomalous():
-    # the lone anomalous prime of this polynomial survives any bound
-    assert _rows(scan_primes(F, 2, 100, sieve_bound=100))[2][2]
+def test_pool_reader_never_misses_anomalous():
+    # the lone anomalous prime of this polynomial keeps its full cap
+    assert _rows(prime_lab.ell_pool(F, 100))[2][2]
+
+
+def _pool_with(monkeypatch, edit):
+    """verify's pool reader, with edit applied to the true pool's columns."""
+    from dyngcd import verify
+
+    def pool(G, x):
+        cols = [getattr(prime_lab.ell_pool(G, x), c).copy() for c in ("p", "ord", "injective")]
+        return prime_lab.PrimeScan(*edit(*cols))
+
+    monkeypatch.setattr(verify, "ell_pool", pool)
+    return dict(verify._SUITES)["scan_policies"](F, 30, None, None)
+
+
+def test_scan_policies_fails_on_a_dropped_row(monkeypatch):
+    def drop(p, o, inj):
+        return p[p != 5], o[p != 5], inj[p != 5]
+
+    assert _pool_with(monkeypatch, drop) == (False, "p=5: bound scan dropped ell = 15 <= 500")
+
+
+def test_scan_policies_fails_on_a_changed_rank(monkeypatch):
+    def bump(p, o, inj):
+        o[p == 13] += 1
+        return p, o, inj
+
+    assert _pool_with(monkeypatch, bump) == (False, "p=13: policies disagree")
+
+
+def test_scan_policies_fails_on_a_prime_it_never_scanned(monkeypatch):
+    def extra(p, o, inj):
+        return np.append(p, 503), np.append(o, 1), np.append(inj, False)
+
+    assert _pool_with(monkeypatch, extra) == (False, "policies scanned different primes")
 
 
 def test_scan_csv_golden():
@@ -122,13 +153,6 @@ def test_scan_csv_golden():
         "11,0,0,0,0,0\n"
         "13,4,1,0,0,52\n"
     )
-
-
-def test_scan_csv_refuses_unresolved():
-    recs = scan_primes(F, 2, 997, sieve_bound=50)
-    assert (recs.ord == -1).any()
-    with pytest.raises(ValueError):
-        scan_csv(recs)
 
 
 def test_scans_past_the_kernel_limit_are_refused_before_sieving(monkeypatch):
