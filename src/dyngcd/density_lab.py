@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -38,6 +37,9 @@ from .orbit_engine import (
     require_wandering,
 )
 from .prime_lab import ell_pool, scan_primes
+
+if TYPE_CHECKING:  # fractions (and the decimal it loads) only for coprime
+    from fractions import Fraction
 
 
 class SelfCheckError(AssertionError):
@@ -153,8 +155,10 @@ def _gcd_vector(F: IntPolynomial, x: int, linear: tuple[int, int] | None) -> np.
     check_int64_horner(F.coeffs, x if linear is None else linear[0] * x + linear[1])
     n = np.arange(1, x + 1, dtype=np.int64)
     mods = n if linear is None else linear[0] * n + linear[1]
+    a = _a_mod_vec(F.coeffs, mods, n)
+    # g only once the walk is done, since the walk sets the oracle's peak
     g = np.zeros(x + 1, dtype=np.int64)
-    g[1:] = np.gcd(mods, _a_mod_vec(F.coeffs, mods, n))
+    np.gcd(mods, a, out=g[1:])
     g.setflags(write=False)
     return g
 
@@ -631,6 +635,8 @@ def _union_density(progs) -> Fraction | None:
     budget, the walk cannot finish and None comes without walking.  Every
     subset's modulus divides the lcm of all the moduli, so the sum is kept as
     an integer numerator over that lcm."""
+    from fractions import Fraction  # here, so that only coprime loads it
+
     meeting = []
     for r, m in progs:
         if all((r - r2) % math.gcd(m, m2) == 0 for r2, m2 in meeting):

@@ -115,10 +115,8 @@ class IntPolynomial(_Frozen):
         return acc
 
     def eval_mod(self, v: int, m: int) -> int:
-        acc = self.coeffs[-1] % m
-        for c in reversed(self.coeffs[:-1]):
-            acc = (acc * v + c) % m
-        return acc
+        """F(v) mod m: Horner's rule on Python ints, reduced once."""
+        return self.eval_int(v) % m
 
     def coeff_key(self) -> str:
         """Canonical ascending coefficient list, e.g. '1,0,1' for x^2+1."""
@@ -263,9 +261,14 @@ def _first_return(
 ) -> tuple[int, int, int]:
     """The walk mod m in Python ints, for any modulus up to 2^62.  It resumes
     after step r from a_r = v and the tortoise state (tortoise, pos, s); the
-    defaults start at a_0."""
+    defaults start at a_0.  Each step is Horner's rule on the coefficients
+    reduced mod m, with one reduction at its end."""
+    lead, *rest = (c % m for c in reversed(F.coeffs))
     for r in range(r + 1, limit + 1):
-        v = F.eval_mod(v, m)
+        acc = lead
+        for c in rest:
+            acc = acc * v + c
+        v = acc % m
         if v == 0:
             return r, r, v
         if v == tortoise:
@@ -316,10 +319,12 @@ def ord_direct(F: IntPolynomial, n: int) -> int | float:
 _VEC_MODULUS_MAX = 2**31
 _INT64_LIMIT = 2**63
 # _first_return_vec steps in lockstep only while more lanes than this are
-# live, then finishes each lane in _first_return.  A numpy round costs 10-20 us
-# whatever its lane count and a scalar step about 1 us, so the break-even is
-# near 10 lanes; the last lanes are mostly prime powers such as 2^13, whose
-# orbits run thousands of steps past the others.
+# live, then finishes each lane in _first_return.  On a 2-vCPU Xeon a numpy
+# round over a few lanes costs 6-8 us and a scalar step 0.2-0.3 us, about 30
+# to a round.  But the last lanes are mostly prime powers such as 2^13, whose
+# orbits run thousands of steps past the others, so few rounds have between 8
+# and 30 lanes: ord_table to 10^4, the oracle at 10^4, an exact scan to 2*10^5
+# and the pool at 10^6 took the same time within noise at 8, 16, 24 and 32.
 _TAIL_LANES = 8
 
 
@@ -378,7 +383,12 @@ def _first_return_vec(
             i = idx[done]
             steps[i], ends[i], period[i] = r, v[done], back[done] * (r - pos)
             keep = ~done
-            mods, limits, idx, v = mods[keep], limits[keep], idx[keep], v[keep]
+            # one array at a time, so that one old copy at most is alive
+            # next to the new ones
+            mods = mods[keep]
+            limits = limits[keep]
+            idx = idx[keep]
+            v = v[keep]
             tortoise = tortoise[keep]
             nxt = int(limits.min()) if limits.size else 0
         if r == s:
@@ -421,10 +431,17 @@ def _a_mod_vec(
     more than _TAIL_LANES of them are live, and the rest in Python ints."""
     import numpy as np
 
-    steps, period, v = _first_return_vec(coeffs, mods, targets)
-    left = (targets - steps) % np.maximum(period, 1)
+    left, period, v = _first_return_vec(coeffs, mods, targets)
+    # the steps left, (targets - r) mod period, in the walk's own rows
+    np.subtract(targets, left, out=left)
+    np.maximum(period, 1, out=period)
+    np.remainder(left, period, out=left)
+    del period
     order = np.argsort(left)
-    v, mods, left = v[order], mods[order], left[order]
+    # mods last: the walk's rows are gone once v and left are copied
+    v = v[order]
+    left = left[order]
+    mods = mods[order]
     # step j < lock advances the lanes with more than j steps left, more
     # than _TAIL_LANES of them; the last _TAIL_LANES lanes then finish alone
     lock = int(left[-_TAIL_LANES - 1]) if left.size > _TAIL_LANES else 0

@@ -29,11 +29,11 @@ from .prime_lab import ell_pool, low_rank_growth, scan_primes
 from .density_lab import (
     GcdQuery,
     _b_mask,
+    _counts_from_gvec,
     _gcd_vector,
     b_nonempty,
     a_nonempty,
     count_A_inclusion_exclusion,
-    count_oracle,
     count_sieve,
     floor_identity_B,
     series_checkpoints,
@@ -46,7 +46,10 @@ DEFAULT_POLYS = (
     IntPolynomial((1, 0, 1, 1)),
 )
 
-_ORACLE_PROBE = 10**4  # the oracle's x in the nonempty and subset_collapse suites
+# the x of the one oracle vector that the oracle_sieve, nonempty and
+# subset_collapse suites read; g[n] does not depend on x, so a suite at a
+# smaller x reads a prefix of it
+_ORACLE_PROBE = 10**4
 
 
 class SuiteResult(NamedTuple):
@@ -280,9 +283,9 @@ def _suite_low_rank_growth(F, bound, cache, table):
 
 def _suite_oracle_sieve(F, bound, cache, table):
     x = min(5000, 50 * bound // 3)
+    g = _gcd_vector(F, _ORACLE_PROBE, None)
     for k in range(1, 7):
-        q = GcdQuery(cache, k)
-        if count_oracle(q, x) != count_sieve(q, x):
+        if _counts_from_gvec(g, k, x) != count_sieve(GcdQuery(cache, k), x):
             return False, f"k={k}, x={x}: oracle and sieve disagree"
     return True, f"counts agree for k <= 6 at x = {x}"
 
@@ -348,7 +351,7 @@ def _suite_series_cauchy(F, bound, cache, table):
 
 def _suite_subset_collapse(F, bound, cache, table):
     x = 2000
-    g = _gcd_vector(F, _ORACLE_PROBE, None)[: x + 1]  # g[n] does not depend on x
+    g = _gcd_vector(F, _ORACLE_PROBE, None)[: x + 1]
     for k in range(1, 7):
         amask = g[1:] == k
         bmask = _b_mask(g[1:], k)

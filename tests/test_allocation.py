@@ -1,7 +1,8 @@
 """Memory guards: every entry point of the int64 lanes refuses a modulus of
 2^31 or more before it allocates, the exact prime scan keeps O(block)
-temporaries next to its columns, the pool reader keeps only its pool, and
-the sieve marks the B and the A classes one segment at a time.  tracemalloc
+temporaries next to its columns, the pool reader keeps only its pool, the
+sieve marks the B and the A classes one segment at a time, and the oracle
+holds one copy of its lanes.  tracemalloc
 sees numpy's buffers, so these peaks do not depend on the test process's
 RSS."""
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from dyngcd.cli import main
-from dyngcd.density_lab import GcdQuery, count_oracle, count_sieve
+from dyngcd.density_lab import GcdQuery, _gcd_vector, count_oracle, count_sieve
 from dyngcd.orbit_engine import OrdCache, first_zero_scan, ord_table, parse_polynomial
 from dyngcd.prime_lab import ell_pool, is_injective_mod_p, low_rank_primes, scan_primes
 
@@ -51,6 +52,16 @@ def test_sieve_count_peak_at_1e7():
     ell_pool.cache_clear()  # the pool reader's own peak belongs to the measurement
     _, peak = _peak_mb(count_sieve, GcdQuery(OrdCache(F), 1), 10**7)
     assert peak < 3, f"{peak:.2f} MB"
+
+
+def test_oracle_peak_holds_one_copy_of_its_lanes():
+    # an int64 array over the 10^4 lanes takes 78 KB.  A retirement compacts
+    # the walk's lane arrays one at a time, and g comes after the walk: the
+    # peak read 0.79 MB, against 1.10 MB when a retirement built every new
+    # copy before it dropped an old one and g was allocated first
+    g, peak = _peak_mb(_gcd_vector.__wrapped__, F, 10**4, None)
+    assert g.size == 10**4 + 1
+    assert peak < 0.95, f"{peak:.2f} MB"
 
 
 # only sizes of 2^31 or more: those are refused before any allocation

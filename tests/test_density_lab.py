@@ -350,14 +350,14 @@ def test_lower_bound_values():
     assert y_k_lower_bound(GcdQuery(OrdCache(F), 3), 1000) == 0
 
 
-def test_verify_builds_two_oracle_vectors():
-    # oracle_sieve's vector at x = 1500 and one at 10^4 that the nonempty and
+def test_verify_builds_one_oracle_vector():
+    # one vector at 10^4 that the oracle_sieve (x = 1500), nonempty and
     # subset_collapse suites share
     from dyngcd.verify import run_suites
 
     density_lab._gcd_vector.cache_clear()
     assert all(r.ok for r in run_suites(F, 90))
-    assert density_lab._gcd_vector.cache_info().misses == 2
+    assert density_lab._gcd_vector.cache_info().misses == 1
 
 
 def test_lower_bound_reuses_the_sieve_scan():

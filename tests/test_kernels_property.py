@@ -381,6 +381,24 @@ def test_segmented_sieve_matches_plain_eratosthenes(seg):
     assert np.concatenate(blocks).tolist() == plain_primes(limits[-1])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seg=st.sampled_from([1, 2, 3, 5, 8, 64]), data=st.data())
+def test_sieve_window_starts_at_the_segment_that_holds_its_start(seg, data):
+    # prime_blocks(limit, start) yields exactly the primes of the whole sieve
+    # from start on, one block per segment from the one that holds start
+    limit = data.draw(st.integers(0, 3000))
+    start = data.draw(st.integers(-2, limit + 2))
+    with mock.patch.object(arith_core, "_SIEVE_SEGMENT", seg):
+        want = [p for p in arith_core.sieve_primes(limit).tolist() if p >= start]
+        blocks = list(arith_core.prime_blocks(limit, start))
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert (np.concatenate(blocks).tolist() if blocks else []) == want
+    # the odd number 2j + 1 sits in segment j // seg; 2 sits in segment 0
+    first = start // 2 if start > 2 else 0
+    segments = range(first // seg, -(-((limit + 1) // 2) // seg))
+    assert len(blocks) == (len(segments) if limit >= max(start, 2) else 0)
+
+
 def _sieve_route(q: GcdQuery, x: int) -> tuple:
     cuts = sorted(set(c for c in (x // 4, x // 2, x) if c >= 1))
     return (
@@ -520,6 +538,23 @@ def test_a_mod_vec_matches_a_mod_lane_by_lane(F, lanes):
     targets = np.array([n for _, n in lanes], dtype=np.int64)
     got = _a_mod_vec(F.coeffs, mods, targets).tolist()
     assert got == [a_mod(F, n, m) for m, n in lanes]
+
+
+@PROPS
+@given(F=polys(VEC_COEFF), mods=lane_lists(TAIL_MODS.filter(lambda m: m >= 2)))
+def test_lane_kernels_leave_a_shared_input_unchanged(F, mods):
+    # ord_table passes one array as the moduli and the caps, and _gcd_vector
+    # one as the moduli and the targets.  Each modulus comes twice, so that
+    # lanes retire in the same round, and powers of two up to 2^11 run on
+    # into the scalar tail
+    mods = mods + mods
+    m = np.array(mods, dtype=np.int64)
+    found = first_zero_scan(F, m, m)
+    assert m.tolist() == mods
+    residues = _a_mod_vec(F.coeffs, m, m)
+    assert m.tolist() == mods
+    assert np.array_equal(found, first_zero_scan(F, m.copy(), m.copy()))
+    assert np.array_equal(residues, _a_mod_vec(F.coeffs, m.copy(), m.copy()))
 
 
 # linear forms up to 9*600 + 50; the guard admits |c| up to its edge there

@@ -1,6 +1,7 @@
 """Load on demand: `import dyngcd` and the scalar commands leave numpy, the
 prime, density and verify layers, and the slow stdlib modules dataclasses and
-inspect unloaded, while the package still exports every public name."""
+inspect unloaded, only coprime loads fractions, and the package still
+exports every public name."""
 
 import ast
 import importlib
@@ -33,6 +34,16 @@ SCAN = (
     "7,0,0,0,0,0\n11,0,0,0,0,0\n13,4,1,0,0,52\n17,0,0,0,0,0\n19,0,0,0,0,0\n"
     "23,0,0,0,0,0\n29,0,0,0,0,0\n",
 )
+
+# fractions and the decimal it imports: about 0.36 MB of RSS, which only
+# coprime's exact union density needs
+FRACTIONS = ["decimal", "fractions"]
+WITHOUT_FRACTIONS = [
+    "density --poly x^2+1 --k 2 --x 500 --T 100 --method both",
+    "series --poly x^2+1 --k 1 --T 200",
+    "verify --poly x^2+1 --bound 30",
+]
+COPRIME = "coprime --poly x^2+1 --a 2 --b 1 --x 200"
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -67,6 +78,19 @@ def test_scalar_commands_load_no_numpy_and_scan_does(tmp_path):
     # scan loads the prime layer and numpy, and no other layer
     assert runs[-1]["out"] == SCAN[1]
     assert [m for m in runs[-1]["loaded"] if m in HEAVY] == ["dyngcd.prime_lab", "numpy"]
+
+
+def test_only_coprime_loads_fractions(tmp_path):
+    # coprime runs last: a module once loaded stays loaded
+    res = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(FRACTIONS), *WITHOUT_FRACTIONS, COPRIME],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    runs = json.loads(res.stdout)
+    assert all(run["out"] for run in runs)
+    assert [run["loaded"] for run in runs] == [[]] * len(WITHOUT_FRACTIONS) + [FRACTIONS]
 
 
 def test_no_module_of_the_package_imports_dataclasses():
