@@ -35,17 +35,16 @@ MODULUS_MAX = 2**62
 _SIEVE_SEGMENT = 1 << 17
 
 
-def prime_blocks(limit: int, start: int = 2) -> Iterator[np.ndarray]:
-    """The primes in [start, limit], ascending, as int64 numpy blocks: one
-    block per segment of an odd-only segmented sieve of Eratosthenes (Bays
-    and Hudson, BIT 17 (1977) 121-127).  Index j stands for the odd number
+def prime_blocks(limit: int) -> Iterator[np.ndarray]:
+    """The primes <= limit, ascending, as int64 numpy blocks: one block per
+    segment of an odd-only segmented sieve of Eratosthenes (Bays and Hudson,
+    BIT 17 (1977) 121-127).  Index j of a segment stands for the odd number
     2j + 1; the odd base primes up to sqrt(limit) come from the same sieve
-    and mark the segments one after another, from the one that holds start,
-    so the sieve holds one segment at a time whatever the limit."""
+    and mark the segments one after another, so the sieve holds one segment
+    at a time whatever the limit."""
     import numpy as np  # on first call, so that importing arith_core stays cheap
 
-    start = max(start, 2)
-    if limit < start:
+    if limit < 2:
         return
     # the odd primes up to sqrt(limit), which mark the segments.  Lists and
     # only numpy calls that the scans make anyway: the first call of each
@@ -54,26 +53,22 @@ def prime_blocks(limit: int, start: int = 2) -> Iterator[np.ndarray]:
     squares = [p * p for p in odd]
     base = np.array(odd, dtype=np.int64)
     n_odd = (limit + 1) // 2  # the odd numbers 1, 3, ..., up to limit
-    # the index of the first odd number >= start; index 0 stands for 1, which
-    # is no prime, and holds 2 when the window starts at 2
-    first = start // 2 if start > 2 else 0
-    for j0 in range(first - first % _SIEVE_SEGMENT, n_odd, _SIEVE_SEGMENT):
+    for j0 in range(0, n_odd, _SIEVE_SEGMENT):
         seg = np.ones(min(_SIEVE_SEGMENT, n_odd - j0), dtype=bool)
-        seg[: max(first - j0, 0)] = False
         # the base primes with p^2 up to the segment's last odd number
         live = base[: bisect.bisect_left(squares, 2 * (j0 + seg.size))]
         # the odd multiples of p have j = p // 2 (mod p); start at p^2
         at_square = live * live // 2 - j0
         past_j0 = (live // 2 - j0) % live
         starts = np.where(at_square > past_j0, at_square, past_j0)
-        for p, j in zip(live.tolist(), starts.tolist()):
-            seg[j::p] = False
+        for p, start in zip(live.tolist(), starts.tolist()):
+            seg[start::p] = False
         primes = np.flatnonzero(seg).astype(np.int64, copy=False)
         del seg  # freed before the consumer runs, which keeps its working set small
         primes *= 2
         primes += 2 * j0 + 1
-        if j0 == first == 0:
-            primes[0] = 2
+        if j0 == 0:
+            primes[0] = 2  # index 0 stands for 1, which is no prime: put 2 there
         yield primes
 
 

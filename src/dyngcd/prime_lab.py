@@ -175,13 +175,13 @@ _SCAN_BLOCK = 1 << 13
 _POOL_BLOCK = 1 << 12
 
 
-def _prime_run(limit: int, size: int, start: int = 2) -> Iterator[np.ndarray]:
-    """The primes in [start, limit], ascending, in blocks of size (the last
-    one shorter), cut from prime_blocks' segments as they come: views of the
+def _prime_run(limit: int, size: int) -> Iterator[np.ndarray]:
+    """The primes up to limit, ascending, in blocks of size (the last one
+    shorter), cut from prime_blocks' segments as they come: views of the
     segment, except for the one block that spans two, since a copy of each
     segment would stay alive next to the kernel (0.25 MB more RSS at 10^6)."""
     rest = np.zeros(0, dtype=np.int64)
-    for seg in prime_blocks(limit, start):
+    for seg in prime_blocks(limit):
         if rest.size:  # complete the held block from the segment's head
             head = size - rest.size
             rest, seg = np.concatenate((rest, seg[:head])), seg[head:]
@@ -200,8 +200,8 @@ def _scan(F: IntPolynomial, blocks, bound: int, keep) -> PrimeScan:
     """The rows keep(primes, ord) picks out of each block of primes, as one
     PrimeScan.  Non-injective primes get cap min(p, bound // p + 1) and
     injective ones cap p; ord is the least r within the cap with a_r = 0
-    mod p, or 0 when there is none.  The caller has passed
-    check_int64_horner with its largest prime."""
+    mod p, or 0 when there is none.  blocks must yield at least one block,
+    and the caller has passed check_int64_horner with its largest prime."""
     cols = [[], [], []]  # p, ord and injective, one part per block
     for ps in blocks:
         inj = _injective_column(F, ps)
@@ -213,8 +213,6 @@ def _scan(F: IntPolynomial, blocks, bound: int, keep) -> PrimeScan:
         i = keep(ps, o)
         for col, part in zip(cols, (ps[i], o[i], inj[i])):
             col.append(part)
-    if not cols[0]:
-        return _EMPTY_SCAN
     # a column's parts go as soon as it is joined: they overlap the whole
     # columns by one column only
     return PrimeScan(*(np.concatenate(cols.pop(0)) for _ in range(3)))
@@ -225,15 +223,15 @@ def scan_primes(F: IntPolynomial, p_min: int, p_max: int) -> PrimeScan:
     """Scan all primes in [p_min, p_max] for their rank of apparition,
     exactly: under the bound p_max^2 every prime keeps cap p, and ord(p) <= p
     whenever it is finite, so ord is 0 only for a rank proven infinite.  The
-    primes come from the sieve _SCAN_BLOCK at a time, sieved from the segment
-    that holds p_min.  p_max passes check_int64_horner before anything is
-    sieved, so a p_max of 2^31 or more costs no sieve."""
+    primes come from the sieve _SCAN_BLOCK at a time, and each block drops
+    its primes below p_min before its walk.  p_max passes check_int64_horner
+    before anything is sieved, so a p_max of 2^31 or more costs no sieve."""
     require_wandering(F)
     p_min = max(p_min, 2)
     if p_max < p_min:
         return _EMPTY_SCAN
     check_int64_horner(F.coeffs, p_max)
-    blocks = _prime_run(p_max, _SCAN_BLOCK, p_min)
+    blocks = (ps[np.searchsorted(ps, p_min) :] for ps in _prime_run(p_max, _SCAN_BLOCK))
     return _scan(F, blocks, p_max * p_max, lambda ps, o: slice(None))
 
 

@@ -13,6 +13,7 @@ from dyngcd import density_lab
 from dyngcd.arith_core import factorize
 from dyngcd.orbit_engine import (
     INF,
+    IntPolynomial,
     OrdCache,
     PreperiodicOrbitError,
     a_mod,
@@ -358,6 +359,19 @@ def test_verify_builds_one_oracle_vector():
     density_lab._gcd_vector.cache_clear()
     assert all(r.ok for r in run_suites(F, 90))
     assert density_lab._gcd_vector.cache_info().misses == 1
+
+
+def test_oracle_sieve_keeps_a_coefficient_that_only_its_own_x_admits():
+    # 9999^2 + c reaches 2^63 but 499^2 + c does not: the int64 guard refuses
+    # the shared vector at 10^4, so the suite at bound 30 (x = 500) counts on
+    # a vector at x, as count_oracle does, and passes
+    from dyngcd.verify import _suite_oracle_sieve
+
+    G = IntPolynomial((2**63 - 10**8 + 10**5, 0, 1))
+    assert _suite_oracle_sieve(G, 30, OrdCache(G), None) == (
+        True,
+        "counts agree for k <= 6 at x = 500",
+    )
 
 
 def test_lower_bound_reuses_the_sieve_scan():

@@ -381,24 +381,6 @@ def test_segmented_sieve_matches_plain_eratosthenes(seg):
     assert np.concatenate(blocks).tolist() == plain_primes(limits[-1])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seg=st.sampled_from([1, 2, 3, 5, 8, 64]), data=st.data())
-def test_sieve_window_starts_at_the_segment_that_holds_its_start(seg, data):
-    # prime_blocks(limit, start) yields exactly the primes of the whole sieve
-    # from start on, one block per segment from the one that holds start
-    limit = data.draw(st.integers(0, 3000))
-    start = data.draw(st.integers(-2, limit + 2))
-    with mock.patch.object(arith_core, "_SIEVE_SEGMENT", seg):
-        want = [p for p in arith_core.sieve_primes(limit).tolist() if p >= start]
-        blocks = list(arith_core.prime_blocks(limit, start))
-    assert all(b.dtype == np.int64 for b in blocks)
-    assert (np.concatenate(blocks).tolist() if blocks else []) == want
-    # the odd number 2j + 1 sits in segment j // seg; 2 sits in segment 0
-    first = start // 2 if start > 2 else 0
-    segments = range(first // seg, -(-((limit + 1) // 2) // seg))
-    assert len(blocks) == (len(segments) if limit >= max(start, 2) else 0)
-
-
 def _sieve_route(q: GcdQuery, x: int) -> tuple:
     cuts = sorted(set(c for c in (x // 4, x // 2, x) if c >= 1))
     return (
