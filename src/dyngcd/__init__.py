@@ -37,7 +37,7 @@ _EXPORTS = {
             "build_density_report", "count_A_inclusion_exclusion", "count_oracle",
             "count_sieve", "floor_identity_B", "linear_coprime_report",
             "membership", "series_checkpoints", "series_density_A",
-            "series_density_B", "small_prime_hit_density", "y_k_lower_bound",
+            "series_density_B", "y_k_lower_bound",
         ),
         "density_lab",
     ),

@@ -606,21 +606,11 @@ class HitDensity(NamedTuple):
 _UNION_NODE_MAX = 200_000
 
 
-def small_prime_hit_density(q: GcdQuery, z: int, x: int) -> HitDensity:
-    """How much of [1, x] is hit by pretty primes up to z (linear form with
-    k = 1 only)."""
-    if q.linear is None or q.k != 1:
-        raise ValueError("hit density needs a linear form with k = 1")
-    if z < 2 or x < 1:
-        raise ValueError("need z >= 2 and x >= 1")
-    return _hit_density(_hit_classes(q, scan_primes(q.F, 2, z)), z, x)
-
-
 def _hit_density(pool, z: int, x: int) -> HitDensity:
-    """The HitDensity of the classes of pool (ascending in p) with p <= z."""
+    """How much of [1, x] the classes of pool (ascending in p) with p <= z
+    hit, marked one segment at a time like the sieve counts."""
     pool = [c for c in pool if c[0] <= z]
-    hit = _class_sieve(pool, (0, 1), np.zeros(x + 1, dtype=bool))
-    marked = int(np.count_nonzero(hit[1:]))
+    marked = x - _unmarked_counts((pool,), 1, x, (x,))[0][0]
     progs = tuple((r, m) for _, r, m in pool)
     return HitDensity(z, x, progs, marked, _union_density(progs))
 

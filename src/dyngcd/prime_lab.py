@@ -176,24 +176,13 @@ _POOL_BLOCK = 1 << 12
 
 
 def _prime_run(limit: int, size: int) -> Iterator[np.ndarray]:
-    """The primes up to limit, ascending, in blocks of size (the last one
-    shorter), cut from prime_blocks' segments as they come: views of the
-    segment, except for the one block that spans two, since a copy of each
-    segment would stay alive next to the kernel (0.25 MB more RSS at 10^6)."""
-    rest = np.zeros(0, dtype=np.int64)
+    """The primes up to limit, ascending, in blocks of at most size, cut from
+    prime_blocks' segments as they come: each block is a view of its
+    segment, so a segment may end with one short block; a copy of each
+    segment alive next to the kernel would cost 0.25 MB more RSS at 10^6."""
     for seg in prime_blocks(limit):
-        if rest.size:  # complete the held block from the segment's head
-            head = size - rest.size
-            rest, seg = np.concatenate((rest, seg[:head])), seg[head:]
-            if rest.size < size:
-                continue
-            yield rest
-        full = seg.size - seg.size % size
-        for lo in range(0, full, size):
+        for lo in range(0, seg.size, size):
             yield seg[lo : lo + size]
-        rest = seg[full:].copy()
-    if rest.size:
-        yield rest
 
 
 def _scan(F: IntPolynomial, blocks, bound: int, keep) -> PrimeScan:

@@ -54,6 +54,11 @@ DEFAULT_POLYS = (
 _ORACLE_PROBE = 10**4
 
 
+def _sieve_x(bound: int) -> int:
+    """The largest x at which the sieve suites count."""
+    return min(5000, 50 * bound // 3)
+
+
 class SuiteResult(NamedTuple):
     name: str
     poly: str
@@ -123,20 +128,24 @@ def _suite_rank_crt(F, bound, cache, table):
     return True, f"crt route matches the scan for all n <= {tlim}"
 
 
-def _suite_rank_lcm(F, bound, cache, table):
-    tlim = len(table) - 1
-    top = 2 * bound // 3
-    checked = 0
-    for n in range(2, top + 1):
+def _lcm_pairs(table, bound, first):
+    """(n, m, lcm(n, m)) for first <= n <= m <= 2*bound/3, lcm in the table."""
+    tlim, top = len(table) - 1, 2 * bound // 3
+    for n in range(first, top + 1):
         for m in range(n, top + 1):
             L = math.lcm(n, m)
-            if L > tlim:
-                continue
-            rn, rm, rL = int(table[n]), int(table[m]), int(table[L])
-            expect = 0 if (rn == 0 or rm == 0) else math.lcm(rn, rm)
-            if rL != expect:
-                return False, f"ord(lcm({n},{m})) = {rL}, expected {expect}"
-            checked += 1
+            if L <= tlim:
+                yield n, m, L
+
+
+def _suite_rank_lcm(F, bound, cache, table):
+    checked = 0
+    for n, m, L in _lcm_pairs(table, bound, 2):
+        rn, rm, rL = int(table[n]), int(table[m]), int(table[L])
+        expect = 0 if (rn == 0 or rm == 0) else math.lcm(rn, rm)
+        if rL != expect:
+            return False, f"ord(lcm({n},{m})) = {rL}, expected {expect}"
+        checked += 1
     return True, f"{checked} pairs: ord(lcm) = lcm(ord, ord)"
 
 
@@ -162,26 +171,19 @@ def _suite_joint_rank(F, bound, cache, table):
 
 
 def _suite_joint_rank_lcm(F, bound, cache, table):
-    tlim = len(table) - 1
-    top = 2 * bound // 3
     checked = 0
-    for n in range(1, top + 1):
-        for m in range(n, top + 1):
-            L = math.lcm(n, m)
-            if L > tlim:
-                continue
-            ln, lm = _ell_from_table(table, n), _ell_from_table(table, m)
-            lL = _ell_from_table(table, L)
-            expect = INF if (ln == INF or lm == INF) else math.lcm(int(ln), int(lm))
-            if lL != expect:
-                return False, f"ell(lcm({n},{m})) = {lL}, expected {expect}"
-            checked += 1
+    for n, m, L in _lcm_pairs(table, bound, 1):
+        ln, lm = _ell_from_table(table, n), _ell_from_table(table, m)
+        lL = _ell_from_table(table, L)
+        expect = INF if (ln == INF or lm == INF) else math.lcm(int(ln), int(lm))
+        if lL != expect:
+            return False, f"ell(lcm({n},{m})) = {lL}, expected {expect}"
+        checked += 1
     return True, f"{checked} pairs: ell(lcm) = lcm(ell, ell)"
 
 
 def _suite_prime_ell(F, bound, cache, table):
-    tlim = len(table) - 1
-    scan = scan_primes(F, 2, tlim)
+    scan = scan_primes(F, 2, len(table) - 1)
     pretty = scan.pretty
     checked = 0
     for p, o, lp in zip(*(c[pretty].tolist() for c in (scan.p, scan.ord, scan.ell))):
@@ -226,8 +228,7 @@ def _suite_rigid_valuations(F, bound, cache, table):
 
 
 def _suite_anomalous_injective(F, bound, cache, table):
-    tlim = len(table) - 1
-    scan = scan_primes(F, 2, tlim)
+    scan = scan_primes(F, 2, len(table) - 1)
     anom = scan.p[scan.anomalous].tolist()
     bad = scan.p[scan.anomalous & ~scan.injective].tolist()
     if bad:
@@ -257,7 +258,7 @@ def _suite_record_consistency(F, bound, cache, table):
 
 
 def _suite_scan_policies(F, bound, cache, table):
-    x = min(5000, 50 * bound // 3)
+    x = _sieve_x(bound)
     exact = scan_primes(F, 2, x)
     pool = ell_pool(F, x)
     kept = np.isin(exact.p, pool.p)
@@ -295,7 +296,7 @@ def _oracle_counts(q: GcdQuery, x: int) -> tuple[int, int]:
 
 
 def _suite_oracle_sieve(F, bound, cache, table):
-    x = min(5000, 50 * bound // 3)
+    x = _sieve_x(bound)
     for k in range(1, 7):
         q = GcdQuery(cache, k)
         if _oracle_counts(q, x) != count_sieve(q, x):
@@ -304,7 +305,7 @@ def _suite_oracle_sieve(F, bound, cache, table):
 
 
 def _suite_floor_identity(F, bound, cache, table):
-    xs = (100, 1000, min(5000, 50 * bound // 3))
+    xs = (100, 1000, _sieve_x(bound))
     for k in range(1, 7):
         q = GcdQuery(cache, k)
         for x in xs:
@@ -379,7 +380,7 @@ def _suite_y_lower_bound(F, bound, cache, table):
     nicer = len(F.coeffs) > 1 and F.coeffs[1] == 0
     for k in (1, 2, 5):
         q = GcdQuery(cache, k)
-        for x in (100, 1000, min(5000, 50 * bound // 3)):
+        for x in (100, 1000, _sieve_x(bound)):
             y = y_k_lower_bound(q, x)
             ca, cb = count_sieve(q, x)
             if y > cb:

@@ -18,6 +18,8 @@ from dyngcd.density_lab import (
     GcdQuery,
     _b_mask,
     _gcd_vector,
+    _hit_classes,
+    _hit_density,
     b_nonempty,
     a_nonempty,
     count_oracle,
@@ -26,7 +28,6 @@ from dyngcd.density_lab import (
     floor_identity_B,
     linear_coprime_report,
     series_density_A,
-    small_prime_hit_density,
 )
 from dyngcd.verify import DEFAULT_POLYS, run_suites
 
@@ -147,14 +148,18 @@ def test_acceptance_07_anomalous_primes_are_injective():
 
 def test_acceptance_08_linear_form_desk_check():
     q = GcdQuery(OrdCache(F1), 1, linear=(2, 1))
-    d13 = small_prime_hit_density(q, 13, 15000).exact
-    d5 = small_prime_hit_density(q, 5, 15000).exact
+
+    def hit_density(z, x):
+        return _hit_density(_hit_classes(q, scan_primes(F1, 2, z)), z, x)
+
+    d13 = hit_density(13, 15000).exact
+    d5 = hit_density(5, 15000).exact
     fractions_ok = (
         d5 == Fraction(1, 15)
         and d13 == Fraction(1, 15) + Fraction(1, 52) - Fraction(1, 780)
     )
     rep = linear_coprime_report(q, 10**4, (5, 13, 677))  # raises on a bound breach
-    union = small_prime_hit_density(q, 677, 10**4).exact
+    union = hit_density(677, 10**4).exact
     near = abs(rep.density - (1 - float(union)))
     _line(8, fractions_ok and rep.density >= 0.85 and near <= 0.01,
           f"gcd(2n+1, a_n)=1 density {rep.density:.4f} >= 0.85, within {near:.2e} <= 0.01 of "

@@ -26,6 +26,8 @@ from dyngcd.density_lab import (
     GcdQuery,
     SelfCheckError,
     _class_walk,
+    _hit_classes,
+    _hit_density,
     _union_density,
     a_nonempty,
     b_nonempty,
@@ -38,7 +40,6 @@ from dyngcd.density_lab import (
     membership,
     series_density_A,
     series_density_B,
-    small_prime_hit_density,
     y_k_lower_bound,
 )
 from dyngcd.prime_lab import ell_pool, scan_primes
@@ -414,27 +415,24 @@ def test_lower_bound_stays_below_counts():
 # ---------------------------------------------------------------------------
 
 
+def hit_density(q: GcdQuery, z: int, x: int):
+    """The hit density of the pretty primes up to z, off an exact scan to z."""
+    return _hit_density(_hit_classes(q, scan_primes(q.F, 2, z)), z, x)
+
+
 def test_hit_density_exact_fractions():
     q = GcdQuery(OrdCache(F), 1, linear=(2, 1))
-    assert small_prime_hit_density(q, 2, 1000).exact == 0
-    assert small_prime_hit_density(q, 5, 15000).exact == Fraction(1, 15)
-    hd = small_prime_hit_density(q, 13, 15000)
+    assert hit_density(q, 2, 1000).exact == 0
+    assert hit_density(q, 5, 15000).exact == Fraction(1, 15)
+    hd = hit_density(q, 13, 15000)
     assert hd.exact == Fraction(1, 15) + Fraction(1, 52) - Fraction(1, 780)
     assert hd.marked_count == 1269
 
 
 def test_hit_density_marked_matches_exact_on_full_period():
     q = GcdQuery(OrdCache(F), 1, linear=(2, 1))
-    hd = small_prime_hit_density(q, 5, 15000)  # 15 | 15000
+    hd = hit_density(q, 5, 15000)  # 15 | 15000
     assert Fraction(hd.marked_count, hd.x) == hd.exact
-
-
-def test_hit_density_requires_linear():
-    with pytest.raises(ValueError):
-        small_prime_hit_density(GcdQuery(OrdCache(F), 1), 5, 100)
-    # its classes are those of gcd(a*n+b, a_n) = 1, with no prime left out
-    with pytest.raises(ValueError, match="k = 1"):
-        small_prime_hit_density(GcdQuery(OrdCache(F), 2, linear=(2, 1)), 5, 100)
 
 
 def test_union_density_inclusion_exclusion():
@@ -484,7 +482,7 @@ def test_union_density_over_budget_falls_back_to_marked_density(monkeypatch):
     assert _union_density([(0, 2), (0, 3), (0, 5)]) is None
     q = GcdQuery(OrdCache(F), 1, linear=(2, 1))
     # two classes and their intersection: three nodes
-    hd = small_prime_hit_density(q, 13, 2000)
+    hd = hit_density(q, 13, 2000)
     assert hd.exact is None and len(hd.progressions) == 2
     rep = linear_coprime_report(q, 2000, (13,))
     assert rep.checkpoints[0].hit_exact == hd.marked_density
@@ -508,6 +506,9 @@ def test_coprime_report_requires_linear_unit():
         linear_coprime_report(GcdQuery(OrdCache(F), 1), 100, (5,))
     with pytest.raises(ValueError):
         linear_coprime_report(GcdQuery(OrdCache(F), 2), 100, (5,))
+    # its classes are those of gcd(a*n+b, a_n) = 1, with no prime left out
+    with pytest.raises(ValueError, match="k = 1"):
+        linear_coprime_report(GcdQuery(OrdCache(F), 2, linear=(2, 1)), 100, (5,))
 
 
 # ---------------------------------------------------------------------------

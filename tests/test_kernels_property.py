@@ -26,6 +26,7 @@ from dyngcd.density_lab import (
     _class_walk,
     _gcd_vector,
     _hit_classes,
+    _hit_density,
     count_oracle,
     count_sieve,
     floor_identity_B,
@@ -33,7 +34,6 @@ from dyngcd.density_lab import (
     series_checkpoints,
     series_density_A,
     series_density_B,
-    small_prime_hit_density,
     y_k_lower_bound,
 )
 from dyngcd.orbit_engine import (
@@ -381,6 +381,31 @@ def test_segmented_sieve_matches_plain_eratosthenes(seg):
     assert np.concatenate(blocks).tolist() == plain_primes(limits[-1])
 
 
+@pytest.mark.parametrize("seg", [1, 7, 64])
+@pytest.mark.parametrize("size", [1, 3, 16])
+def test_prime_run_blocks_are_views_of_one_segment(seg, size, monkeypatch):
+    # each block is cut from the segment the sieve yielded last, and shares
+    # memory with no earlier one; segments of 64 odd numbers hold up to 31
+    # primes here, so blocks of 3 and 16 end most segments short
+    segments = []
+
+    def recorded(limit):
+        for primes in arith_core.prime_blocks(limit):
+            segments.append(primes)
+            yield primes
+
+    monkeypatch.setattr(arith_core, "_SIEVE_SEGMENT", seg)
+    monkeypatch.setattr(prime_lab, "prime_blocks", recorded)
+    limit = 1000
+    blocks = []
+    for block in prime_lab._prime_run(limit, size):
+        assert 1 <= block.size <= size
+        assert np.shares_memory(block, segments[-1])
+        assert not any(np.shares_memory(block, s) for s in segments[:-1])
+        blocks.append(block)
+    assert np.concatenate(blocks).tolist() == arith_core.sieve_primes(limit).tolist()
+
+
 def _sieve_route(q: GcdQuery, x: int) -> tuple:
     cuts = sorted(set(c for c in (x // 4, x // 2, x) if c >= 1))
     return (
@@ -680,6 +705,20 @@ def test_class_sieve_in_segments_marks_the_same_indices(classes, base, j_max, se
     assert got == want
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    classes=st.lists(RESIDUE_CLASS, max_size=8),
+    z=st.sampled_from(PRIMES_TO_37),
+    x=st.integers(1, 300),
+)
+def test_hit_density_counts_the_indices_of_some_class(classes, z, x):
+    pool = [(p, r, m) for p, (r, m) in zip(PRIMES_TO_37, classes)]
+    want = sum(any(n % m == r for p, r, m in pool if p <= z) for n in range(1, x + 1))
+    for mark in (1, 3, 64):
+        with mock.patch.object(density_lab, "_MARK_SEGMENT", mark):
+            assert _hit_density(pool, z, x).marked_count == want, mark
+
+
 WANDERING = st.builds(
     lambda low, lead: IntPolynomial(tuple(low) + (lead,)),
     st.integers(1, 2).flatmap(lambda d: st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1)),
@@ -813,7 +852,7 @@ def test_coprime_report_matches_a_scan_per_z(F, ab, x, zs):
     want = []
     for z in sorted(set(zs)):
         with budget:
-            hd = small_prime_hit_density(q, z, x)
+            hd = _hit_density(_hit_classes(q, scan_primes(F, 2, z)), z, x)
         hit = float(hd.exact) if hd.exact is not None else hd.marked_density
         residual, n_tail = 0.0, 0
         for p, _, m in tail_pool:
