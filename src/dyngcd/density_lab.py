@@ -310,14 +310,14 @@ def _A_classes(q: GcdQuery, bound) -> list[tuple[int, int, int]]:
     return pool
 
 
-def _class_sieve(pool, base: tuple[int, int], hit: np.ndarray, j0: int = 0) -> np.ndarray:
+def _class_sieve(pool, base: tuple[int, int], hit: np.ndarray, j0: int) -> None:
     """Set hit[j - j0] for every j0 <= j < j0 + hit.size where n = r0 + j*m0
     of the base class (r0, m0), 0 <= r0 < m0, lies in some class (p, r, m)
-    of pool, and return hit; the caller owns the bool array, so that
-    markings can share it, and j0 lets it mark a long range one segment at
-    a time.  The marking counterpart of _class_walk: a class meets the base
-    class in one class mod L = lcm(m, m0) or in none, so it hits every
-    (L // m0)-th j from the first."""
+    of pool; the caller owns the bool array, so that markings can share it,
+    and j0 lets it mark a long range one segment at a time.  The marking
+    counterpart of _class_walk: a class meets the base class in one class
+    mod L = lcm(m, m0) or in none, so it hits every (L // m0)-th j from the
+    first."""
     r0, m0 = base
     for _, r, m in pool:
         sol = crt_pair(r0, m0, r, m)
@@ -328,7 +328,6 @@ def _class_sieve(pool, base: tuple[int, int], hit: np.ndarray, j0: int = 0) -> n
             start = ((sol[0] - r0) // m0 - j0) % step
             if start < hit.size:
                 hit[start::step] = True
-    return hit
 
 
 def _class_walk(pool, base: tuple[int, int], d_max, m_max):
@@ -606,13 +605,18 @@ class HitDensity(NamedTuple):
 _UNION_NODE_MAX = 200_000
 
 
-def _hit_density(pool, z: int, x: int) -> HitDensity:
+def _hit_densities(pool, zs, x: int) -> list[HitDensity]:
     """How much of [1, x] the classes of pool (ascending in p) with p <= z
-    hit, marked one segment at a time like the sieve counts."""
-    pool = [c for c in pool if c[0] <= z]
-    marked = x - _unmarked_counts((pool,), 1, x, (x,))[0][0]
-    progs = tuple((r, m) for _, r, m in pool)
-    return HitDensity(z, x, progs, marked, _union_density(progs))
+    hit, at each z of the ascending zs.  One marking, one segment at a time
+    like the sieve counts: the classes with z_(i-1) < p <= z_i are the i-th
+    pool, marked on top of the ones before, so each class is sliced once."""
+    pools = [[c for c in pool if lo < c[0] <= z] for lo, z in zip([0, *zs], zs)]
+    progs: tuple[tuple[int, int], ...] = ()
+    out = []
+    for z, part, (unmarked,) in zip(zs, pools, _unmarked_counts(pools, 1, x, (x,))):
+        progs += tuple((r, m) for _, r, m in part)
+        out.append(HitDensity(z, x, progs, x - unmarked, _union_density(progs)))
+    return out
 
 
 def _union_density(progs) -> Fraction | None:
@@ -698,8 +702,8 @@ def linear_coprime_report(q: GcdQuery, x: int, z_schedule) -> CoprimeReport:
     pmax = a * x + b
     pool = _hit_classes(q, scan_primes(q.F, 2, max([pmax, *zs])))
     checkpoints = []
-    for z in zs:
-        hd = _hit_density(pool, z, x)
+    for hd in _hit_densities(pool, zs, x):
+        z = hd.z
         hit = float(hd.exact) if hd.exact is not None else hd.marked_density
         tail = [m for p, _, m in pool if z < p <= pmax]
         residual = 0.0  # a loop: from Python 3.12 on, sum() compensates its rounding

@@ -24,7 +24,7 @@ import math
 import os
 import re
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arith_core import MODULUS_MAX, factorize
 
@@ -326,6 +326,12 @@ _INT64_LIMIT = 2**63
 # and 30 lanes: ord_table to 10^4, the oracle at 10^4, an exact scan to 2*10^5
 # and the pool at 10^6 took the same time within noise at 8, 16, 24 and 32.
 _TAIL_LANES = 8
+# _first_return_vec keeps at most this many lanes live and the rest waiting,
+# so that its working set does not grow with the number of lanes: the oracle
+# at 10^5 traced a peak of 2.3 MiB, against 7.9 MiB with every lane live from
+# the first round.  An exact scan's blocks of 8,192 primes walk as two
+# batches.
+_LANE_POOL = 4096
 
 
 def check_int64_horner(coeffs: tuple[int, ...], m_max: int) -> None:
@@ -341,66 +347,160 @@ def check_int64_horner(coeffs: tuple[int, ...], m_max: int) -> None:
         )
 
 
-def _horner_vec(coeffs: tuple[int, ...], v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """F(v) mod m lane by lane; the caller has passed check_int64_horner.
-    A monic F starts at v + c_(d-1), one multiply and one reduction less."""
-    if coeffs[-1] == 1:
-        acc, rest = v + coeffs[-2], coeffs[-3::-1]
-    else:
-        import numpy as np
-
-        acc, rest = np.full(v.shape, coeffs[-1], dtype=np.int64), coeffs[-2::-1]
-    acc %= m
+@lru_cache(maxsize=None)
+def _horner_steps(coeffs: tuple[int, ...]) -> tuple[tuple[bool, int], ...]:
+    """(reduce, c) for each Horner step acc = acc * v + c of F past its top
+    two coefficients: reduce says whether acc must be reduced mod m before
+    the multiply, because with residues below 2^31 the product could leave
+    int64 otherwise.  For x^2 + x + 1 it never must, so a step of F takes
+    one reduction where a reduction at every multiply takes two."""
+    top = _VEC_MODULUS_MAX - 1
+    lead, c, *rest = coeffs[::-1]
+    size = (top if lead == 1 else top * top) + abs(c)  # a bound on |acc|
+    steps = []
     for c in rest:
+        reduce = size * top + abs(c) >= _INT64_LIMIT
+        size = (top if reduce else size) * top + abs(c)
+        steps.append((reduce, c))
+    return tuple(steps)
+
+
+def _horner_vec(coeffs: tuple[int, ...], v: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+    """F(v) mod m lane by lane, into out if given (which may be v itself);
+    the caller has passed check_int64_horner.  A monic F starts from v
+    itself, which needs no reduction, and a zero coefficient adds nothing;
+    otherwise the steps reduce as _horner_steps says."""
+    import numpy as np
+
+    lead, c = coeffs[-1], coeffs[-2]
+    if lead == 1:
+        acc = v + c if c else v  # acc is v until the first multiply copies it
+    else:
+        acc = np.full(v.shape, lead, dtype=np.int64)
+        acc %= m
         acc *= v
         acc += c
-        acc %= m
-    return acc
+    for reduce, c in _horner_steps(coeffs):
+        if acc is v:
+            acc = v * v  # check_int64_horner bounds v * v + c
+        else:
+            if reduce:
+                acc %= m
+            acc *= v
+        if c:
+            acc += c
+    return np.remainder(acc, m, out=out)
 
 
 def _first_return_vec(
-    coeffs: tuple[int, ...], mods: np.ndarray, limits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    coeffs: tuple[int, ...], mods: np.ndarray, limits: np.ndarray, countdown: bool = False
+) -> Iterator[tuple[np.ndarray, ...]]:
     """The walk for every lane of int64 arrays that passed check_int64_horner,
-    with limits >= 1, as arrays (r, period, a_r mod m).  The lanes step in
-    lockstep, so they share one tortoise schedule; a lane retires at its
-    return or its limit, and limits are only tested from the step of the
-    smallest live one.  The last _TAIL_LANES lanes finish in _first_return
-    from the state the lockstep walk left them in."""
+    with limits >= 1.  Yields (i, r, period, v) for the lanes i that retire,
+    a round's lanes at a time: the (r, period, a_r mod m) of _first_return.
+    With countdown it yields (i, v) with v = a_limit mod m instead: a lane
+    that returns before its limit steps on (limit - r) mod period more
+    rounds, and retires then.
+
+    At most _LANE_POOL lanes are live, in the columns of one (7, pool) array.
+    They come in from the last index back, and whenever half the pool has
+    retired the next batch fills it; a retired column takes the last live
+    one.  So the longest lanes start first when the limits ascend with the
+    index, as the oracle's, ord_table's and the prime scans' do (ell_pool's
+    blocks fit in one batch).  Each batch keeps its own tortoise schedule
+    from the round it came in, so each lane takes the steps it takes alone.
+    Limits are only tested from the round of the smallest live end.  Once
+    every lane is in and at most _TAIL_LANES are live, they finish in
+    _first_return."""
     import numpy as np
 
-    steps, period, ends = np.zeros((3, mods.size), dtype=np.int64)
-    idx = np.arange(mods.size)
-    v = tortoise = np.zeros(mods.size, dtype=np.int64)
-    r, pos, s = 0, 0, 1
-    nxt = int(limits.min()) if limits.size else 0
-    while mods.size > _TAIL_LANES:
-        r += 1
-        v = _horner_vec(coeffs, v, mods)
-        back = (v == 0) | (v == tortoise)
-        done = back | (limits <= r) if r >= nxt else back
-        if done.any():
-            i = idx[done]
-            steps[i], ends[i], period[i] = r, v[done], back[done] * (r - pos)
-            keep = ~done
-            # one array at a time, so that one old copy at most is alive
-            # next to the new ones
-            mods = mods[keep]
-            limits = limits[keep]
-            idx = idx[keep]
-            v = v[keep]
-            tortoise = tortoise[keep]
-            nxt = int(limits.min()) if limits.size else 0
-        if r == s:
-            tortoise, pos, s = v, s, 2 * s
+    waiting = limits.size
+    width = min(waiting, _LANE_POOL)
+    lanes = np.empty((7, width), dtype=np.int64)
+    # tpos and start are the rounds in which the lane's tortoise last moved
+    # and its batch came in
+    mod, idx, v, end, tpos, tortoise, start = lanes
+    live = R = 0
+    nxt = move = _INT64_LIMIT  # the next round that tests limits, moves a tortoise
+    moves = {}  # the start round of each batch -> its next tortoise move
+    while True:
+        if waiting and 2 * live <= width:
+            k = min(width - live, waiting)
+            waiting -= k
+            new, lane = slice(waiting, waiting + k), slice(live, live + k)
+            mod[lane] = mods[new]
+            np.add(limits[new], R, out=end[lane])
+            idx[lane] = np.arange(waiting, waiting + k)
+            v[lane] = tortoise[lane] = 0
+            tpos[lane] = start[lane] = R
+            live += k
+            nxt = min(nxt, int(end[lane].min()))
+            moves[R] = move = R + 1
+        if live <= _TAIL_LANES and not waiting:
+            break
+        R += 1
+        vl = v[:live]
+        _horner_vec(coeffs, vl, mod[:live], out=vl)
+        back = vl == 0
+        back |= vl == tortoise[:live]
+        j = None
+        if not countdown:
+            done = back | (end[:live] <= R) if R >= nxt else back
+            if np.count_nonzero(done):
+                j = done.nonzero()[0]
+                vj = v[j]
+                r = R - start[j]
+                yield idx[j], r, np.where(vj == 0, r, back[j] * (R - tpos[j])), vj
+        else:
+            # a returned lane counts down (limit - r) mod period rounds to its
+            # end.  0 does not come back before it: on a pure cycle 0 recurs
+            # a period after r, and otherwise 0 is not on the cycle.  A pure
+            # cycle can meet its tortoise again, at the exact period, and so
+            # gets the same end again
+            if np.count_nonzero(back):
+                c = back.nonzero()[0]
+                left = R - np.where(v[c] == 0, start[c], tpos[c])  # the period
+                np.remainder(end[c] - R, left, out=left)
+                left += R
+                end[c] = left
+                nxt = min(nxt, int(left.min()))
+            # nxt is exact here, so some lane ends in round nxt
+            if R >= nxt:
+                done = end[:live] <= R
+                j = done.nonzero()[0]
+                yield idx[j], v[j]
+        if j is not None:
+            live -= j.size
+            # the live lanes past the new end fill the holes below it
+            movers = (~done[live:]).nonzero()[0]
+            if movers.size:
+                lanes[:, j[: movers.size]] = lanes[:, live + movers]
+        if R >= nxt:
+            nxt = int(end[:live].min()) if live else _INT64_LIMIT
+        if R == move:
+            for s0, t in list(moves.items()):
+                if t == R:
+                    on = start[:live] == s0
+                    if np.count_nonzero(on):
+                        np.copyto(tortoise[:live], v[:live], where=on)
+                        tpos[:live][on] = R
+                        moves[s0] = 2 * R - s0
+                    else:
+                        del moves[s0]
+            move = min(moves.values(), default=_INT64_LIMIT)
     F = IntPolynomial(coeffs)
-    tail = zip(idx.tolist(), mods.tolist(), limits.tolist(), v.tolist(), tortoise.tolist())
-    for i, m, limit, vi, ti in tail:
-        steps[i], period[i], ends[i] = _first_return(F, m, limit, r, vi, ti, pos, s)
-    # a lane that ended on 0 returned to a_0, so its period is r, not r - pos
-    zero = ends == 0
-    period[zero] = steps[zero]
-    return steps, period, ends
+    tail = [], [], [], []
+    for m, i, vi, e, pi, ti, s0 in lanes[:, :live].T.tolist():
+        pos = pi - s0
+        r, period, vi = _first_return(F, m, e - s0, R - s0, vi, ti, pos, 2 * pos or 1)
+        left = (e - s0 - r) % period if countdown and period else 0
+        for _ in range(left):
+            vi = F.eval_mod(vi, m)
+        for col, x in zip(tail, (i, r, period, vi)):
+            col.append(x)
+    if live:
+        i, r, period, vi = (np.array(col, dtype=np.int64) for col in tail)
+        yield (i, vi) if countdown else (i, r, period, vi)
 
 
 def first_zero_scan(
@@ -417,44 +517,23 @@ def first_zero_scan(
         check_int64_horner(F.coeffs, int(mods.max()))
         if int(mods.min()) < 2:
             raise ValueError("vector kernel needs moduli >= 2")
-    steps, period, _ = _first_return_vec(F.coeffs, mods, caps)
-    return np.where(period == steps, steps, 0)
+    found = np.zeros(mods.size, dtype=np.int64)
+    for i, r, period, _ in _first_return_vec(F.coeffs, mods, caps):
+        found[i] = np.where(period == r, r, 0)
+    return found
 
 
 def _a_mod_vec(
     coeffs: tuple[int, ...], mods: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """a_targets[i] mod mods[i] for every lane, from int64 arrays with
-    targets >= 1 that passed check_int64_horner: one a_mod per lane.  After
-    the lockstep walk the lanes are sorted by the steps they have left, so
-    the ones still stepping are always a suffix; they step in lockstep while
-    more than _TAIL_LANES of them are live, and the rest in Python ints."""
+    targets >= 1 that passed check_int64_horner: one a_mod per lane, counted
+    down in the walk's own rounds."""
     import numpy as np
 
-    left, period, v = _first_return_vec(coeffs, mods, targets)
-    # the steps left, (targets - r) mod period, in the walk's own rows
-    np.subtract(targets, left, out=left)
-    np.maximum(period, 1, out=period)
-    np.remainder(left, period, out=left)
-    del period
-    order = np.argsort(left)
-    # mods last: the walk's rows are gone once v and left are copied
-    v = v[order]
-    left = left[order]
-    mods = mods[order]
-    # step j < lock advances the lanes with more than j steps left, more
-    # than _TAIL_LANES of them; the last _TAIL_LANES lanes then finish alone
-    lock = int(left[-_TAIL_LANES - 1]) if left.size > _TAIL_LANES else 0
-    for k in np.searchsorted(left, np.arange(lock), side="right").tolist():
-        v[k:] = _horner_vec(coeffs, v[k:], mods[k:])
-    F = IntPolynomial(coeffs)
-    for i in range(max(left.size - _TAIL_LANES, 0), left.size):
-        vi, m = int(v[i]), int(mods[i])
-        for _ in range(int(left[i]) - lock):
-            vi = F.eval_mod(vi, m)
-        v[i] = vi
-    out = np.empty_like(v)
-    out[order] = v
+    out = np.empty(mods.size, dtype=np.int64)
+    for i, v in _first_return_vec(coeffs, mods, targets, countdown=True):
+        out[i] = v
     return out
 
 

@@ -19,7 +19,7 @@ from dyngcd.density_lab import (
     _b_mask,
     _gcd_vector,
     _hit_classes,
-    _hit_density,
+    _hit_densities,
     b_nonempty,
     a_nonempty,
     count_oracle,
@@ -150,7 +150,8 @@ def test_acceptance_08_linear_form_desk_check():
     q = GcdQuery(OrdCache(F1), 1, linear=(2, 1))
 
     def hit_density(z, x):
-        return _hit_density(_hit_classes(q, scan_primes(F1, 2, z)), z, x)
+        (hd,) = _hit_densities(_hit_classes(q, scan_primes(F1, 2, z)), [z], x)
+        return hd
 
     d13 = hit_density(13, 15000).exact
     d5 = hit_density(5, 15000).exact

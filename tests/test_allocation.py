@@ -2,7 +2,7 @@
 2^31 or more before it allocates, the exact prime scan keeps O(block)
 temporaries next to its columns, the pool reader keeps only its pool, the
 sieve marks the B and the A classes one segment at a time, and the oracle
-holds one copy of its lanes.  tracemalloc
+and the rank table hold one pool of lanes, whatever their size.  tracemalloc
 sees numpy's buffers, so these peaks do not depend on the test process's
 RSS."""
 
@@ -54,14 +54,26 @@ def test_sieve_count_peak_at_1e7():
     assert peak < 3, f"{peak:.2f} MB"
 
 
-def test_oracle_peak_holds_one_copy_of_its_lanes():
-    # an int64 array over the 10^4 lanes takes 78 KB.  A retirement compacts
-    # the walk's lane arrays one at a time, and g comes after the walk: the
-    # peak read 0.79 MB, against 1.10 MB when a retirement built every new
-    # copy before it dropped an old one and g was allocated first
-    g, peak = _peak_mb(_gcd_vector.__wrapped__, F, 10**4, None)
-    assert g.size == 10**4 + 1
-    assert peak < 0.95, f"{peak:.2f} MB"
+@pytest.mark.parametrize("x, bound", [(10**4, 0.5), (10**5, 3)])
+def test_oracle_peak_holds_one_copy_of_its_lanes(x, bound):
+    # an int64 array over the lanes takes 78 KB at 10^4.  The walk holds the
+    # indices, the residues and at most 4,096 lanes in its pool, counted
+    # down in the same rounds, and g comes after the walk: the peaks read
+    # 0.42 and 2.29 MiB, against 0.79 and 7.92 MiB when every lane was live
+    # at once and a second pass counted them down
+    g, peak = _peak_mb(_gcd_vector.__wrapped__, F, x, None)
+    assert g.size == x + 1
+    assert peak < bound, f"{peak:.2f} MB"
+
+
+@pytest.mark.parametrize("limit", [10**4, 10**5])
+def test_rank_table_peak_is_its_arrays_and_one_pool(limit):
+    # the table, the moduli and the scan's output are three arrays of the
+    # table's size; the pool's (7, 4096) int64 columns and a round's
+    # temporaries add 0.27 MiB, whatever the limit.  With every lane live
+    # at once that excess read 0.64 MiB at 10^4 and 6.4 MiB at 10^5
+    t, peak = _peak_mb(ord_table.__wrapped__, F, limit)
+    assert peak < 3 * t.nbytes / 2**20 + 0.3, f"{peak:.2f} MB"
 
 
 # only sizes of 2^31 or more: those are refused before any allocation

@@ -27,7 +27,7 @@ from dyngcd.density_lab import (
     SelfCheckError,
     _class_walk,
     _hit_classes,
-    _hit_density,
+    _hit_densities,
     _union_density,
     a_nonempty,
     b_nonempty,
@@ -417,7 +417,8 @@ def test_lower_bound_stays_below_counts():
 
 def hit_density(q: GcdQuery, z: int, x: int):
     """The hit density of the pretty primes up to z, off an exact scan to z."""
-    return _hit_density(_hit_classes(q, scan_primes(q.F, 2, z)), z, x)
+    (hd,) = _hit_densities(_hit_classes(q, scan_primes(q.F, 2, z)), [z], x)
+    return hd
 
 
 def test_hit_density_exact_fractions():

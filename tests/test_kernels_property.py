@@ -13,11 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyngcd
-from dyngcd import arith_core, density_lab, prime_lab
+from dyngcd import arith_core, density_lab, orbit_engine, prime_lab
 from dyngcd.arith_core import crt_pair, factorize
 from dyngcd.density_lab import (
     GcdQuery,
@@ -26,7 +26,7 @@ from dyngcd.density_lab import (
     _class_walk,
     _gcd_vector,
     _hit_classes,
-    _hit_density,
+    _hit_densities,
     count_oracle,
     count_sieve,
     floor_identity_B,
@@ -183,17 +183,79 @@ def test_first_return_resumes_mid_walk(F, m, data):
     assert resumed == _first_return(F, m, limit)
 
 
+def pooled_rows(coeffs, mods, limits, countdown=False) -> list[tuple[int, ...]]:
+    """What _first_return_vec yields for each lane, in lane order: (r,
+    period, a_r) of its walk, or (a_limit,) with countdown.  Each lane
+    retires exactly once."""
+    rows = {}
+    walk = _first_return_vec(
+        coeffs, np.array(mods, dtype=np.int64), np.array(limits, dtype=np.int64), countdown
+    )
+    for chunk in walk:
+        for i, *row in zip(*(c.tolist() for c in chunk)):
+            assert i not in rows
+            rows[i] = tuple(row)
+    assert sorted(rows) == list(range(len(mods)))
+    return [rows[i] for i in range(len(mods))]
+
+
 @PROPS
 @given(F=polys(VEC_COEFF), mods=lane_lists(st.integers(1, 3000)), data=st.data())
 def test_first_return_vec_matches_plain_walk(F, mods, data):
-    m = np.array(mods, dtype=np.int64)
-    free = np.stack(_first_return_vec(F.coeffs, m, 3 * m), axis=1).tolist()
+    free = pooled_rows(F.coeffs, mods, [3 * m for m in mods])
     limits = [data.draw(limits_around(r)) for r, _, _ in free]
-    limited = np.stack(
-        _first_return_vec(F.coeffs, m, np.array(limits, dtype=np.int64)), axis=1
-    ).tolist()
+    limited = pooled_rows(F.coeffs, mods, limits)
     for mi, f, got, limit in zip(mods, free, limited, limits):
-        check_first_return(F, mi, tuple(f), tuple(got), limit)
+        check_first_return(F, mi, f, got, limit)
+
+
+# with the first three pool widths a walk of 65 lanes or more refills its
+# pool, so most of its lanes come in with a later batch than the first; the
+# default width takes them all in one batch, in their own order
+POOL_WIDTHS = (1, 3, 64, orbit_engine._LANE_POOL)
+
+
+def pool_lanes(F: IntPolynomial, picks) -> list[tuple[int, int, int]]:
+    """(m, limit, target) for each pick (m, k, s), with the cases of the
+    pooled walk built in.  Every third lane has its limit at its first
+    return r, so the return lands on the limit step; the others have k * r
+    // 4, below, at or past it.  A lane whose orbit is a pure cycle of period
+    p >= 2 (0 comes back at r = p) gets a target (k mod 3) periods past r
+    and 1 to p - 1 steps more: its orbit passes 0 again on the way, its
+    countdown starts at a 0, and it must not retire there."""
+    lanes = []
+    for n, (m, k, s) in enumerate(picks):
+        r, period, _ = _first_return(F, m, 3 * m)
+        limit = r if n % 3 == 0 else max(1, k * r // 4)
+        if period == r >= 2:
+            target = r + k % 3 * period + 1 + s % (period - 1)
+        else:
+            target = 1 + s % (3 * m)
+        lanes.append((m, limit, target))
+    return lanes
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    F=polys(VEC_COEFF),
+    picks=st.lists(
+        st.tuples(st.integers(1, 200), st.integers(1, 8), st.integers(0, 10**4)),
+        min_size=65,
+        max_size=100,
+    ),
+)
+# x^2 + 1 has pure cycles mod 2, 5, 10, 13, 26, 41, ... (periods 2, 3, 6, 4, 4, 7)
+@example(F=IntPolynomial((1, 0, 1)), picks=[(m, m % 8 + 1, 7 * m) for m in range(1, 101)])
+def test_pooled_walk_matches_first_return_and_a_mod(F, picks):
+    lanes = pool_lanes(F, picks)
+    mods = [m for m, _, _ in lanes]
+    walk = [_first_return(F, m, limit) for m, limit, _ in lanes]
+    residues = [(a_mod(F, target, m),) for m, _, target in lanes]
+    for width in POOL_WIDTHS:
+        with mock.patch.object(orbit_engine, "_LANE_POOL", width):
+            assert pooled_rows(F.coeffs, mods, [limit for _, limit, _ in lanes]) == walk, width
+            targets = [target for *_, target in lanes]
+            assert pooled_rows(F.coeffs, mods, targets, countdown=True) == residues, width
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +742,14 @@ def test_class_sieve_marks_the_indices_of_some_class(classes, base, j_max):
     r0, m0 = base
     want = [any((r0 + j * m0 - r) % m == 0 for r, m in classes) for j in range(j_max + 1)]
     hit = np.zeros(j_max + 1, dtype=bool)
-    assert _class_sieve(pool, base, hit) is hit
+    _class_sieve(pool, base, hit, 0)
     assert hit.tolist() == want
     # marks add to what the array holds: split the pool in two markings
     half = len(pool) // 2
-    hit = _class_sieve(pool[:half], base, np.zeros(j_max + 1, dtype=bool))
-    assert _class_sieve(pool[half:], base, hit).tolist() == want
+    hit = np.zeros(j_max + 1, dtype=bool)
+    _class_sieve(pool[:half], base, hit, 0)
+    _class_sieve(pool[half:], base, hit, 0)
+    assert hit.tolist() == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -697,26 +761,36 @@ def test_class_sieve_marks_the_indices_of_some_class(classes, base, j_max):
 )
 def test_class_sieve_in_segments_marks_the_same_indices(classes, base, j_max, seg):
     pool = [(p, r, m) for p, (r, m) in zip(PRIMES_TO_37, classes)]
-    want = _class_sieve(pool, base, np.zeros(j_max + 1, dtype=bool)).tolist()
+    whole = np.zeros(j_max + 1, dtype=bool)
+    _class_sieve(pool, base, whole, 0)
     got = []
     for j0 in range(0, j_max + 1, seg):
         hit = np.zeros(min(seg, j_max + 1 - j0), dtype=bool)
-        got += _class_sieve(pool, base, hit, j0).tolist()
-    assert got == want
+        _class_sieve(pool, base, hit, j0)
+        got += hit.tolist()
+    assert got == whole.tolist()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     classes=st.lists(RESIDUE_CLASS, max_size=8),
-    z=st.sampled_from(PRIMES_TO_37),
+    zs=st.lists(st.sampled_from(PRIMES_TO_37), min_size=1, max_size=4, unique=True),
     x=st.integers(1, 300),
 )
-def test_hit_density_counts_the_indices_of_some_class(classes, z, x):
+def test_hit_density_counts_the_indices_of_some_class(classes, zs, x):
+    # every z of one marking counts what a marking of its own classes counts
     pool = [(p, r, m) for p, (r, m) in zip(PRIMES_TO_37, classes)]
-    want = sum(any(n % m == r for p, r, m in pool if p <= z) for n in range(1, x + 1))
+    zs = sorted(zs)
+    want = [
+        sum(any(n % m == r for p, r, m in pool if p <= z) for n in range(1, x + 1)) for z in zs
+    ]
+    progs = [tuple((r, m) for p, r, m in pool if p <= z) for z in zs]
     for mark in (1, 3, 64):
         with mock.patch.object(density_lab, "_MARK_SEGMENT", mark):
-            assert _hit_density(pool, z, x).marked_count == want, mark
+            got = _hit_densities(pool, zs, x)
+        assert [hd.z for hd in got] == zs
+        assert [hd.marked_count for hd in got] == want, mark
+        assert [hd.progressions for hd in got] == progs
 
 
 WANDERING = st.builds(
@@ -852,7 +926,7 @@ def test_coprime_report_matches_a_scan_per_z(F, ab, x, zs):
     want = []
     for z in sorted(set(zs)):
         with budget:
-            hd = _hit_density(_hit_classes(q, scan_primes(F, 2, z)), z, x)
+            (hd,) = _hit_densities(_hit_classes(q, scan_primes(F, 2, z)), [z], x)
         hit = float(hd.exact) if hd.exact is not None else hd.marked_density
         residual, n_tail = 0.0, 0
         for p, _, m in tail_pool:
