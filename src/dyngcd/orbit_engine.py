@@ -329,8 +329,9 @@ _TAIL_LANES = 8
 # _first_return_vec keeps at most this many lanes live and the rest waiting,
 # so that its working set does not grow with the number of lanes: the oracle
 # at 10^5 traced a peak of 2.3 MiB, against 7.9 MiB with every lane live from
-# the first round.  An exact scan's blocks of 8,192 primes walk as two
-# batches.
+# the first round.  prime_lab cuts its blocks and its screen's slices to the
+# same width, so an exact scan's primes refill the pool batch after batch in
+# one walk, and each of ell_pool's blocks is one batch.
 _LANE_POOL = 4096
 
 

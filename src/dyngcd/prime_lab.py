@@ -4,10 +4,11 @@ and the count of low-rank primes.
 
 A scan returns columns, not one object per prime: the primes, their ranks
 and their injectivity as read-only numpy arrays (PrimeScan), with pretty,
-anomalous and ell as array expressions over them.  One block loop (_scan)
-walks the primes as they come from the segmented sieve and has two readers:
-scan_primes keeps every row of its window, and ell_pool keeps only the rows
-the gcd sieve at x needs.
+anomalous and ell as array expressions over them.  One scan body (_scan)
+screens, caps and walks an array of primes and has two readers: scan_primes
+walks every prime of its window at once, in one pooled walk, and ell_pool
+walks the primes _LANE_POOL at a time as they come from the segmented sieve
+and keeps only the rows the gcd sieve at x needs.
 
 scan_primes is exact: every prime gets the full cap p (ord(p) <= p whenever
 it is finite, so no-zero-by-p settles infinite rank); the kernel's cycle
@@ -44,6 +45,7 @@ import numpy as np
 
 from .arith_core import prime_blocks, sieve_primes
 from .orbit_engine import (
+    _LANE_POOL,
     IntPolynomial,
     _Frozen,
     _horner_vec,
@@ -135,44 +137,33 @@ def _injective_column(F: IntPolynomial, primes: np.ndarray) -> np.ndarray:
     """Whether x -> F(x) is a bijection mod p, at every prime: in closed form
     by the module docstring's rules, and by is_injective_mod_p's value table
     at the primes they leave over.  check_int64_horner must have passed.
+    The primes are screened _LANE_POOL at a time, so the screen's int64
+    temporaries stay within a few pools' width whatever the scan's size.
 
     A cubic c3 x^3 + c2 x^2 + c1 x + c0 with p > 3 is c3 (y^3 + a y) plus a
     constant for y = x + c2 / (3 c3), where a = (3 c3 c1 - c2^2) / (3 c3^2);
     y^3 + a y permutes F_p exactly when a = 0 and p = 2 (mod 3).  Every
     coefficient is reduced mod p first, so each product stays below
     p^2 < 2^62."""
-    deg = _reduced_degrees(F.coeffs, primes)
-    inj = deg == 1
-    cubic = (deg == 3) & (primes > 3)
-    if cubic.any():
-        p = primes[cubic]
-        c1, c2, c3 = (np.int64(c) % p for c in F.coeffs[1:4])
-        inj[cubic] = (p % 3 == 2) & (c2 * c2 % p == 3 * c3 % p * c1 % p)
-    table = (
-        ((deg == 2) & (primes == 2))
-        | ((deg == 3) & (primes <= 3))
-        | ((deg == 4) & (primes <= 7))
-        | (deg >= 5)
-    )
-    for i in np.flatnonzero(table).tolist():
-        inj[i] = is_injective_mod_p(F, int(primes[i]))
+    inj = np.empty(primes.size, dtype=bool)
+    for lo in range(0, primes.size, _LANE_POOL):
+        ps, out = primes[lo : lo + _LANE_POOL], inj[lo : lo + _LANE_POOL]
+        deg = _reduced_degrees(F.coeffs, ps)
+        np.equal(deg, 1, out=out)
+        cubic = (deg == 3) & (ps > 3)
+        if cubic.any():
+            p = ps[cubic]
+            c1, c2, c3 = (np.int64(c) % p for c in F.coeffs[1:4])
+            out[cubic] = (p % 3 == 2) & (c2 * c2 % p == 3 * c3 % p * c1 % p)
+        table = (
+            ((deg == 2) & (ps == 2))
+            | ((deg == 3) & (ps <= 3))
+            | ((deg == 4) & (ps <= 7))
+            | (deg >= 5)
+        )
+        for i in np.flatnonzero(table).tolist():
+            out[i] = is_injective_mod_p(F, int(ps[i]))
     return inj
-
-
-# scan_primes runs its per-prime pipeline over blocks of this many primes, so
-# that its temporaries (the caps, the kernel's lanes, about a dozen int64
-# arrays) take O(block) memory and only the columns grow with the scan.  The
-# lanes are independent, so the block size changes no rank.  A lockstep round
-# over 8,192 lanes costs about 30 times a round's fixed cost (130 us against
-# 4 us for x^2+1 on a 2-vCPU Xeon).
-_SCAN_BLOCK = 1 << 13
-# ell_pool scans in blocks of this many primes.  Under the bound x a block
-# past the first few has caps of x/p + 1 steps, so blocks half as long cost
-# the pool no time (1.3-1.6 s at 10^8 either way on a 2-vCPU Xeon), and they
-# halve the kernel's lanes, the largest working set of the sieve route: at
-# x = 10^6 `density --method sieve` peaked 0.4 MB lower in RSS than with
-# blocks of 8,192.
-_POOL_BLOCK = 1 << 12
 
 
 def _prime_run(limit: int, size: int) -> Iterator[np.ndarray]:
@@ -185,26 +176,22 @@ def _prime_run(limit: int, size: int) -> Iterator[np.ndarray]:
             yield seg[lo : lo + size]
 
 
-def _scan(F: IntPolynomial, blocks, bound: int, keep) -> PrimeScan:
-    """The rows keep(primes, ord) picks out of each block of primes, as one
-    PrimeScan.  Non-injective primes get cap min(p, bound // p + 1) and
-    injective ones cap p; ord is the least r within the cap with a_r = 0
-    mod p, or 0 when there is none.  blocks must yield at least one block,
-    and the caller has passed check_int64_horner with its largest prime."""
-    cols = [[], [], []]  # p, ord and injective, one part per block
-    for ps in blocks:
-        inj = _injective_column(F, ps)
-        o = first_zero_scan(F, ps, np.where(inj, ps, np.minimum(ps, bound // ps + 1)))
-        bad = ps[inj & (o == 0)]
-        if bad.size:
-            raise AssertionError(
-                f"injective map mod {bad[0]} must have finite rank; scan says otherwise")
-        i = keep(ps, o)
-        for col, part in zip(cols, (ps[i], o[i], inj[i])):
-            col.append(part)
-    # a column's parts go as soon as it is joined: they overlap the whole
-    # columns by one column only
-    return PrimeScan(*(np.concatenate(cols.pop(0)) for _ in range(3)))
+def _scan(
+    F: IntPolynomial, ps: np.ndarray, bound: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ord, injective) for the primes ps, in one first_zero_scan.  Injective
+    primes get cap p, and so does every prime without a bound; with one, a
+    non-injective prime gets cap min(p, bound // p + 1).  ord is the least r
+    within the cap with a_r = 0 mod p, or 0 when there is none.  The caller
+    has passed check_int64_horner with its largest prime."""
+    inj = _injective_column(F, ps)
+    caps = ps if bound is None else np.where(inj, ps, np.minimum(ps, bound // ps + 1))
+    o = first_zero_scan(F, ps, caps)
+    bad = ps[inj & (o == 0)]
+    if bad.size:
+        raise AssertionError(
+            f"injective map mod {bad[0]} must have finite rank; scan says otherwise")
+    return o, inj
 
 
 @lru_cache(maxsize=32)
@@ -212,16 +199,18 @@ def scan_primes(F: IntPolynomial, p_min: int, p_max: int) -> PrimeScan:
     """Scan all primes in [p_min, p_max] for their rank of apparition,
     exactly: under the bound p_max^2 every prime keeps cap p, and ord(p) <= p
     whenever it is finite, so ord is 0 only for a rank proven infinite.  The
-    primes come from the sieve _SCAN_BLOCK at a time, and each block drops
-    its primes below p_min before its walk.  p_max passes check_int64_horner
-    before anything is sieved, so a p_max of 2^31 or more costs no sieve."""
+    window is sieved once and walked in one first_zero_scan, whose lane pool
+    bounds the walk's working set; the cut at p_min copies, so a cached scan
+    holds no sieve below p_min.  p_max passes check_int64_horner before
+    anything is sieved, so a p_max of 2^31 or more costs no sieve."""
     require_wandering(F)
     p_min = max(p_min, 2)
     if p_max < p_min:
         return _EMPTY_SCAN
     check_int64_horner(F.coeffs, p_max)
-    blocks = (ps[np.searchsorted(ps, p_min) :] for ps in _prime_run(p_max, _SCAN_BLOCK))
-    return _scan(F, blocks, p_max * p_max, lambda ps, o: slice(None))
+    ps = sieve_primes(p_max)
+    ps = ps[np.searchsorted(ps, p_min) :].copy()
+    return PrimeScan(ps, *_scan(F, ps))
 
 
 @lru_cache(maxsize=32)
@@ -231,29 +220,32 @@ def ell_pool(F: IntPolynomial, x: int) -> PrimeScan:
     there proves ord(p) > x/p, hence ell(p) = p * ord(p) > x (ord < p makes
     the lcm the full product), so every row the cap leaves open is dropped.
     Injective primes keep cap p, so an anomalous prime (ell(p) = p <= x)
-    cannot hide.  Each block keeps only the pool's rows, so the reader holds
-    one segment and one block next to them, whatever x.  x passes
-    check_int64_horner before the first segment is sieved."""
+    cannot hide.  The primes come _LANE_POOL at a time, one batch of the
+    walk's pool each, and each block keeps only the pool's rows, so the
+    reader holds one segment and one block next to them, whatever x.  x
+    passes check_int64_horner before the first segment is sieved."""
     require_wandering(F)
     if x < 2:
         return _EMPTY_SCAN
     check_int64_horner(F.coeffs, x)
-
-    def in_pool(ps, o):
+    cols = [[], [], []]  # p, ord and injective, one part per block
+    for ps in _prime_run(x, _LANE_POOL):
+        o, inj = _scan(F, ps, x)
         i = np.flatnonzero(o > 0)
-        return i[np.lcm(ps[i], o[i]) <= x]
-
-    return _scan(F, _prime_run(x, _POOL_BLOCK), x, in_pool)
+        i = i[np.lcm(ps[i], o[i]) <= x]
+        for col, part in zip(cols, (ps[i], o[i], inj[i])):
+            col.append(part)
+    return PrimeScan(*(np.concatenate(col) for col in cols))
 
 
 def scan_csv(scan: PrimeScan) -> str:
     """CSV dump of a scan: p,ord,pretty,anomalous,injective,ell with 0
     standing for an infinite ord or ell."""
     parts = ["p,ord,pretty,anomalous,injective,ell\n"]
-    # _SCAN_BLOCK rows at a time, so that only one block's Python ints and row
+    # _LANE_POOL rows at a time, so that only one block's Python ints and row
     # strings are alive at once
-    for lo in range(0, len(scan), _SCAN_BLOCK):
-        block = slice(lo, lo + _SCAN_BLOCK)
+    for lo in range(0, len(scan), _LANE_POOL):
+        block = slice(lo, lo + _LANE_POOL)
         part = PrimeScan(scan.p[block], scan.ord[block], scan.injective[block])
         cols = (part.p, part.ord, part.pretty, part.anomalous, part.injective, part.ell)
         rows = zip(*(c.astype(np.int64).tolist() for c in cols))

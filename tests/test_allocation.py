@@ -1,6 +1,7 @@
 """Memory guards: every entry point of the int64 lanes refuses a modulus of
-2^31 or more before it allocates, the exact prime scan keeps O(block)
-temporaries next to its columns, the pool reader keeps only its pool, the
+2^31 or more before it allocates, the exact prime scan keeps one pool of
+lanes next to its columns, the injectivity screen's temporaries stay within
+a few pools' width, the pool reader keeps only its pool, the
 sieve marks the B and the A classes one segment at a time, and the oracle
 and the rank table hold one pool of lanes, whatever their size.  tracemalloc
 sees numpy's buffers, so these peaks do not depend on the test process's
@@ -11,10 +12,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dyngcd.arith_core import sieve_primes
 from dyngcd.cli import main
 from dyngcd.density_lab import GcdQuery, _gcd_vector, count_oracle, count_sieve
 from dyngcd.orbit_engine import OrdCache, first_zero_scan, ord_table, parse_polynomial
-from dyngcd.prime_lab import ell_pool, is_injective_mod_p, low_rank_primes, scan_primes
+from dyngcd.prime_lab import (
+    _injective_column,
+    ell_pool,
+    is_injective_mod_p,
+    low_rank_primes,
+    scan_primes,
+)
 
 F = parse_polynomial("x^2+1")
 
@@ -29,13 +37,23 @@ def _peak_mb(fn, *args, **kwargs):
 
 
 def test_exact_scan_peak_stays_near_its_columns():
-    # 78,498 primes: the sieve's segments, cut into blocks as they come, the
-    # ord and injective columns (0.7 MB) block by block and then whole, and
-    # one block's temporaries; no whole-range sieve array and no filtered
-    # copy of it
+    # 78,498 primes: the sieve's segments and their concatenation, the window
+    # cut from it, the ord and injective columns (0.7 MB), one pool of lanes
+    # and a round's temporaries; the primes are their own caps, so no cap
+    # column is allocated
     scan, peak = _peak_mb(scan_primes.__wrapped__, F, 2, 10**6)
     assert len(scan) == 78498
     assert peak < 3, f"{peak:.2f} MB"
+
+
+def test_injectivity_screen_peak_stays_near_its_column():
+    # the cubic's closed form takes about a dozen int64 temporaries per
+    # prime, 5.0 MiB over 78,498 primes at once; screened a pool's width at
+    # a time it traced 0.34 MiB, and the bool column itself is 0.07 MiB
+    primes = sieve_primes(10**6)
+    inj, peak = _peak_mb(_injective_column, parse_polynomial("x^3+x^2+1"), primes)
+    assert inj.size == primes.size
+    assert peak < 0.5, f"{peak:.2f} MB"
 
 
 def test_pool_reader_peak_stays_near_one_block():

@@ -390,28 +390,29 @@ def test_scan_columns_match_plain_walk_and_value_table(F, data):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(F=polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), data=st.data())
-def test_scan_blocks_change_no_column(F, data):
-    # the window [p_min, p_max] cut from blocks of 1, 2, 7 and 64 primes and
-    # sieve segments of 1, 2, 7 and 64 odd numbers, against the rows
-    # p >= p_min of one scan from 2 at the default lengths (one block)
+def test_pool_widths_change_no_scan_column(F, data):
+    # the window [p_min, p_max] screened and walked through lane pools of 1,
+    # 2, 7 and 64 (refilled as their lanes retire) and cut from sieve
+    # segments of 1, 2, 7 and 64 odd numbers, so that p_min falls inside a
+    # segment or on its edge, against the rows p >= p_min of one scan from 2
+    # at the default widths
     p_max = data.draw(st.integers(2, 1000))
     whole = scan_primes.__wrapped__(F, 2, p_max)
-    for block in (1, 2, 7, 64):
-        # the window opens at primes[j]; j % block != 0 puts a block across it
-        inside = [j for j in range(len(whole)) if j % block or block == 1]
-        j = data.draw(st.sampled_from(inside or [0]))
+    for width in (1, 2, 7, 64):
+        j = data.draw(st.integers(0, len(whole) - 1))
         low = int(whole.p[j - 1]) + 1 if j else 2
         p_min = data.draw(st.integers(low, int(whole.p[j])))
         keep = whole.p >= p_min
         for seg in (1, 2, 7, 64):
             with (
-                mock.patch.object(prime_lab, "_SCAN_BLOCK", block),
+                mock.patch.object(orbit_engine, "_LANE_POOL", width),
+                mock.patch.object(prime_lab, "_LANE_POOL", width),
                 mock.patch.object(arith_core, "_SIEVE_SEGMENT", seg),
             ):
                 got = scan_primes.__wrapped__(F, p_min, p_max)
             for col in ("p", "ord", "injective"):
                 got_col, want_col = getattr(got, col), getattr(whole, col)[keep]
-                assert np.array_equal(got_col, want_col), (block, seg, col)
+                assert np.array_equal(got_col, want_col), (width, seg, col)
 
 
 def plain_primes(limit: int) -> list[int]:
@@ -486,7 +487,7 @@ def _sieve_route(q: GcdQuery, x: int) -> tuple:
                     st.sampled_from([1, 2, 5, 64])),
 )
 def test_segments_change_no_sieve_count(poly, k, x, sizes):
-    # the prime sieve's segments, the scan's blocks and the marking's
+    # the prime sieve's segments, the pool reader's blocks and the marking's
     # segments, each patched to a tiny length, against the default lengths
     q = GcdQuery(OrdCache(parse_polynomial(poly)), k)
     prime_lab.ell_pool.cache_clear()
@@ -494,7 +495,7 @@ def test_segments_change_no_sieve_count(poly, k, x, sizes):
     seg, block, mark = sizes
     with (
         mock.patch.object(arith_core, "_SIEVE_SEGMENT", seg),
-        mock.patch.object(prime_lab, "_POOL_BLOCK", block),
+        mock.patch.object(prime_lab, "_LANE_POOL", block),
         mock.patch.object(density_lab, "_MARK_SEGMENT", mark),
     ):
         prime_lab.ell_pool.cache_clear()

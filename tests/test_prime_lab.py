@@ -95,6 +95,21 @@ def test_scan_range_edges():
     assert scan_primes(F, 10, 20).p.tolist() == [11, 13, 17, 19]
 
 
+def test_exact_scan_is_one_walk_over_columns_it_owns(monkeypatch):
+    # 9,592 primes, more than two pools of lanes, go through one walk; a
+    # window's columns own their memory, so a cached window keeps no sieve
+    # below p_min alive
+    calls = []
+    walk = prime_lab.first_zero_scan
+    monkeypatch.setattr(prime_lab, "first_zero_scan", lambda *a: calls.append(1) or walk(*a))
+    assert len(scan_primes.__wrapped__(F, 2, 10**5)) == 9592
+    assert len(calls) == 1
+    window = scan_primes.__wrapped__(F, 50000, 10**5)
+    assert int(window.p[0]) == 50021 and len(calls) == 2
+    for name in ("p", "ord", "injective"):
+        assert getattr(window, name).base is None, name
+
+
 def test_pool_reader_agrees_with_exact():
     """The bounded pool holds exactly the exact scan's rows with ell <= x."""
     exact = _rows(scan_primes(F, 2, 997))
