@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .arith_core import MODULUS_MAX, crt_pair, factorize
+from .arith_core import _SIEVE_SEGMENT, MODULUS_MAX, crt_pair, factorize
 from .orbit_engine import (
     INF,
     IntPolynomial,
@@ -228,27 +228,19 @@ def _sieve_counts(q: GcdQuery, x: int, cuts) -> list[tuple[int, int]]:
     return list(zip(counts_a, counts_b))
 
 
-# _unmarked_counts marks this many multiples of ell(k) at a time: a 256 KB
-# bool segment, so that the sieve route's memory does not grow with x.  Each
-# segment costs one CRT and one slice per class, and the pool at 10^9 has a
-# few hundred classes (276 for x^2+1).  For x^2+1 and k = 1 at x = 10^9,
-# marking took 5.3 s in segments of 2^16, 2.1 s in 2^18 and 0.9 s in 2^20 on
-# a 2-vCPU Xeon; at x = 10^6 the peak RSS of the command moved by less than
-# 0.15 MB across those lengths.
-_MARK_SEGMENT = 1 << 18
-
-
 def _unmarked_counts(pools, lk: int, x: int, cuts) -> list[list[int]]:
     """For each pool in turn, marked on top of the pools before it: the
     number of n = j * lk with 1 <= n <= cx in no class of the pools so far,
-    at every cut-off cx in cuts.  The multiples of lk are marked one
-    _MARK_SEGMENT of j at a time, and each count adds up across segments."""
+    at every cut-off cx in cuts.  The multiples of lk are marked in
+    segments of _SIEVE_SEGMENT values of j, the prime sieve's length, so
+    that the marking's memory does not grow with x; each segment costs one
+    CRT and one slice per class, and each count adds up across segments."""
     ends = [cx // lk + 1 for cx in cuts]
     n = x // lk + 1
     counts = [[0] * len(ends) for _ in pools]
-    buf = np.empty(min(n, _MARK_SEGMENT), dtype=bool)
-    for j0 in range(0, n, _MARK_SEGMENT):
-        hit = buf[: min(_MARK_SEGMENT, n - j0)]
+    buf = np.empty(min(n, _SIEVE_SEGMENT), dtype=bool)
+    for j0 in range(0, n, _SIEVE_SEGMENT):
+        hit = buf[: min(_SIEVE_SEGMENT, n - j0)]
         hit[:] = False
         hit[0] = j0 == 0  # n = 0 is no index
         for pool, row in zip(pools, counts):

@@ -257,13 +257,14 @@ def a_value(F: IntPolynomial, n: int) -> int:
 
 def _first_return(
     F: IntPolynomial, m: int, limit: int,
-    r: int = 0, v: int = 0, tortoise: int = 0, pos: int = 0, s: int = 1,
+    r: int = 0, v: int = 0, tortoise: int = 0, pos: int = 0,
 ) -> tuple[int, int, int]:
     """The walk mod m in Python ints, for any modulus up to 2^62.  It resumes
-    after step r from a_r = v and the tortoise state (tortoise, pos, s); the
+    after step r from a_r = v and the tortoise, which waits at a_pos; the
     defaults start at a_0.  Each step is Horner's rule on the coefficients
     reduced mod m, with one reduction at its end."""
     lead, *rest = (c % m for c in reversed(F.coeffs))
+    s = 2 * pos or 1  # the tortoise moves next at step 2 pos, or 1 before it first moves
     for r in range(r + 1, limit + 1):
         acc = lead
         for c in rest:
@@ -492,8 +493,7 @@ def _first_return_vec(
     F = IntPolynomial(coeffs)
     tail = [], [], [], []
     for m, i, vi, e, pi, ti, s0 in lanes[:, :live].T.tolist():
-        pos = pi - s0
-        r, period, vi = _first_return(F, m, e - s0, R - s0, vi, ti, pos, 2 * pos or 1)
+        r, period, vi = _first_return(F, m, e - s0, R - s0, vi, ti, pi - s0)
         left = (e - s0 - r) % period if countdown and period else 0
         for _ in range(left):
             vi = F.eval_mod(vi, m)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -166,16 +165,6 @@ def _injective_column(F: IntPolynomial, primes: np.ndarray) -> np.ndarray:
     return inj
 
 
-def _prime_run(limit: int, size: int) -> Iterator[np.ndarray]:
-    """The primes up to limit, ascending, in blocks of at most size, cut from
-    prime_blocks' segments as they come: each block is a view of its
-    segment, so a segment may end with one short block; a copy of each
-    segment alive next to the kernel would cost 0.25 MB more RSS at 10^6."""
-    for seg in prime_blocks(limit):
-        for lo in range(0, seg.size, size):
-            yield seg[lo : lo + size]
-
-
 def _scan(
     F: IntPolynomial, ps: np.ndarray, bound: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,21 +209,26 @@ def ell_pool(F: IntPolynomial, x: int) -> PrimeScan:
     there proves ord(p) > x/p, hence ell(p) = p * ord(p) > x (ord < p makes
     the lcm the full product), so every row the cap leaves open is dropped.
     Injective primes keep cap p, so an anomalous prime (ell(p) = p <= x)
-    cannot hide.  The primes come _LANE_POOL at a time, one batch of the
-    walk's pool each, and each block keeps only the pool's rows, so the
-    reader holds one segment and one block next to them, whatever x.  x
-    passes check_int64_horner before the first segment is sieved."""
+    cannot hide.  Each sieve segment is walked in blocks of _LANE_POOL
+    primes, one batch of the walk's pool each, and each block keeps only the
+    pool's rows, so the reader holds one segment and one block next to them,
+    whatever x.  A block is a view of its segment, so a segment may end with
+    one short block; a copy of each segment alive next to the kernel would
+    cost 0.25 MB more RSS at 10^6.  x passes check_int64_horner before the
+    first segment is sieved."""
     require_wandering(F)
     if x < 2:
         return _EMPTY_SCAN
     check_int64_horner(F.coeffs, x)
     cols = [[], [], []]  # p, ord and injective, one part per block
-    for ps in _prime_run(x, _LANE_POOL):
-        o, inj = _scan(F, ps, x)
-        i = np.flatnonzero(o > 0)
-        i = i[np.lcm(ps[i], o[i]) <= x]
-        for col, part in zip(cols, (ps[i], o[i], inj[i])):
-            col.append(part)
+    for seg in prime_blocks(x):
+        for lo in range(0, seg.size, _LANE_POOL):
+            ps = seg[lo : lo + _LANE_POOL]
+            o, inj = _scan(F, ps, x)
+            i = np.flatnonzero(o > 0)
+            i = i[np.lcm(ps[i], o[i]) <= x]
+            for col, part in zip(cols, (ps[i], o[i], inj[i])):
+                col.append(part)
     return PrimeScan(*(np.concatenate(col) for col in cols))
 
 

@@ -188,8 +188,9 @@ def _suite_prime_ell(F, bound, cache, table):
     checked = 0
     for p, o, lp in zip(*(c[pretty].tolist() for c in (scan.p, scan.ord, scan.ell))):
         expect = p * o if o < p else p
-        if lp != expect or _ell_from_table(table, p) != expect:
-            return False, f"ell({p}) = {lp}, product form says {expect}"
+        lt = _ell_from_table(table, p)
+        if lp != expect or lt != expect:
+            return False, f"ell({p}) = {lp}, table says {lt}, product form says {expect}"
         checked += 1
     return True, f"{checked} pretty primes: ell(p) = p*ord(p) (or p when anomalous)"
 

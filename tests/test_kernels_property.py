@@ -76,6 +76,36 @@ def polys(draw, coeff):
     return IntPolynomial(tuple(low) + (lead,))
 
 
+@st.composite
+def flat_cubics(draw):
+    """c3 x^3 + c2 x^2 + c1 x + c0 with c2^2 = 3 c3 c1, such as x^3 + 1: c3
+    y^3 plus a constant for y = x + c2 / (3 c3), so a bijection mod every
+    p = 2 (mod 3) that does not divide 3 c3.  c2 runs over the multiples of
+    the least g with 3 c3 | g^2, so the shift need not be an integer (3 x^3
+    + 3 x^2 + x)."""
+    c3 = draw(st.integers(1, 6))
+    g = next(g for g in range(1, 3 * c3 + 1) if g * g % (3 * c3) == 0)
+    c2 = g * draw(st.integers(-3, 3))
+    c0 = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))  # c0 = 0 fixes 0
+    return IntPolynomial((c0, c2 * c2 // (3 * c3), c2, c3))
+
+
+def power_map(c: int, d: int) -> IntPolynomial:
+    """(x + c)^d - c, conjugate to y^d by y = x + c: a_n = c^(d^n) - c."""
+    coeffs = [math.comb(d, i) * c ** (d - i) for i in range(d + 1)]
+    coeffs[0] -= c
+    return IntPolynomial(tuple(coeffs))
+
+
+# shapes that random coefficients almost never draw: cubics injective at
+# every other prime, and the power maps, whose ranks come from the
+# multiplicative order of c mod p
+STRESS_SHAPES = st.one_of(
+    flat_cubics().filter(lambda F: classify_orbit(F).wandering),
+    st.sampled_from([power_map(c, d) for c in range(2, 10) for d in (2, 3)]),
+)
+
+
 def plain_first_zero(F: IntPolynomial, n: int, cap: int) -> int | None:
     """Least r <= cap with n | a_r by walking the orbit with exact integers,
     reduced once per step; None when there is none."""
@@ -175,11 +205,10 @@ def test_first_return_resumes_mid_walk(F, m, data):
     limit = data.draw(limits_around(free[0]))
     a = plain_residues(F, m)[2]
     # after step j < r the tortoise waits at a_pos, pos the last power of two
-    # passed (0 at first), and moves next at step s = 2 pos (1 at first)
+    # passed (0 at first)
     j = data.draw(st.integers(0, min(free[0], limit) - 1))
-    s = 1 << j.bit_length()
-    pos = s >> 1
-    resumed = _first_return(F, m, limit, j, a(j), a(pos), pos, s)
+    pos = (1 << j.bit_length()) >> 1
+    resumed = _first_return(F, m, limit, j, a(j), a(pos), pos)
     assert resumed == _first_return(F, m, limit)
 
 
@@ -365,7 +394,10 @@ def plain_scan_ord(F: IntPolynomial, p: int) -> int:
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(F=polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), data=st.data())
+@given(
+    F=st.one_of(polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), STRESS_SHAPES),
+    data=st.data(),
+)
 def test_scan_columns_match_plain_walk_and_value_table(F, data):
     p_min = data.draw(st.integers(2, 3000))
     p_max = data.draw(st.integers(p_min, 3000))
@@ -446,26 +478,32 @@ def test_segmented_sieve_matches_plain_eratosthenes(seg):
 
 @pytest.mark.parametrize("seg", [1, 7, 64])
 @pytest.mark.parametrize("size", [1, 3, 16])
-def test_prime_run_blocks_are_views_of_one_segment(seg, size, monkeypatch):
-    # each block is cut from the segment the sieve yielded last, and shares
-    # memory with no earlier one; segments of 64 odd numbers hold up to 31
-    # primes here, so blocks of 3 and 16 end most segments short
-    segments = []
+def test_pool_reader_blocks_are_views_of_one_segment(seg, size, monkeypatch):
+    # each block the pool reader walks is cut from the segment the sieve
+    # yielded last, shares memory with no earlier one and is at most one pool
+    # wide; segments of 64 odd numbers hold up to 31 primes here, so blocks
+    # of 3 and 16 end most segments short
+    segments, blocks = [], []
 
     def recorded(limit):
         for primes in arith_core.prime_blocks(limit):
             segments.append(primes)
             yield primes
 
+    def scan(F, ps, bound=None):
+        assert 1 <= ps.size <= size
+        assert np.shares_memory(ps, segments[-1])
+        assert not any(np.shares_memory(ps, s) for s in segments[:-1])
+        blocks.append(ps.copy())
+        return true_scan(F, ps, bound)
+
+    true_scan = prime_lab._scan
     monkeypatch.setattr(arith_core, "_SIEVE_SEGMENT", seg)
+    monkeypatch.setattr(prime_lab, "_LANE_POOL", size)
     monkeypatch.setattr(prime_lab, "prime_blocks", recorded)
+    monkeypatch.setattr(prime_lab, "_scan", scan)
     limit = 1000
-    blocks = []
-    for block in prime_lab._prime_run(limit, size):
-        assert 1 <= block.size <= size
-        assert np.shares_memory(block, segments[-1])
-        assert not any(np.shares_memory(block, s) for s in segments[:-1])
-        blocks.append(block)
+    prime_lab.ell_pool.__wrapped__(parse_polynomial("x^2+1"), limit)
     assert np.concatenate(blocks).tolist() == arith_core.sieve_primes(limit).tolist()
 
 
@@ -488,7 +526,8 @@ def _sieve_route(q: GcdQuery, x: int) -> tuple:
 )
 def test_segments_change_no_sieve_count(poly, k, x, sizes):
     # the prime sieve's segments, the pool reader's blocks and the marking's
-    # segments, each patched to a tiny length, against the default lengths
+    # segments (density_lab's import of the sieve's length), each patched to
+    # a tiny length on its own, against the default lengths
     q = GcdQuery(OrdCache(parse_polynomial(poly)), k)
     prime_lab.ell_pool.cache_clear()
     want = _sieve_route(q, x)
@@ -496,7 +535,7 @@ def test_segments_change_no_sieve_count(poly, k, x, sizes):
     with (
         mock.patch.object(arith_core, "_SIEVE_SEGMENT", seg),
         mock.patch.object(prime_lab, "_LANE_POOL", block),
-        mock.patch.object(density_lab, "_MARK_SEGMENT", mark),
+        mock.patch.object(density_lab, "_SIEVE_SEGMENT", mark),
     ):
         prime_lab.ell_pool.cache_clear()
         got = _sieve_route(q, x)
@@ -505,7 +544,10 @@ def test_segments_change_no_sieve_count(poly, k, x, sizes):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(F=polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), x=st.integers(1, 2999))
+@given(
+    F=st.one_of(polys(SCAN_COEFF).filter(lambda F: classify_orbit(F).wandering), STRESS_SHAPES),
+    x=st.integers(1, 2999),
+)
 def test_pool_reader_keeps_the_exact_scans_pretty_rows_with_small_ell(F, x):
     exact = scan_primes(F, 2, x)
     keep = exact.pretty & (exact.ell <= x)
@@ -787,7 +829,7 @@ def test_hit_density_counts_the_indices_of_some_class(classes, zs, x):
     ]
     progs = [tuple((r, m) for p, r, m in pool if p <= z) for z in zs]
     for mark in (1, 3, 64):
-        with mock.patch.object(density_lab, "_MARK_SEGMENT", mark):
+        with mock.patch.object(density_lab, "_SIEVE_SEGMENT", mark):
             got = _hit_densities(pool, zs, x)
         assert [hd.z for hd in got] == zs
         assert [hd.marked_count for hd in got] == want, mark
@@ -838,7 +880,7 @@ SIEVE_K = st.one_of(st.sampled_from((4, 8, 9, 12, 18, 25, 27, 50)), st.integers(
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(F=WANDERING, k=SIEVE_K, x=st.integers(1, 1500))
+@given(F=st.one_of(WANDERING, STRESS_SHAPES), k=SIEVE_K, x=st.integers(1, 1500))
 def test_sieve_matches_oracle(F, k, x):
     q = GcdQuery(OrdCache(F), k)
     assert count_sieve(q, x) == count_oracle(q, x)

@@ -123,6 +123,20 @@ def test_pool_reader_never_misses_anomalous():
     assert _rows(prime_lab.ell_pool(F, 100))[2][2]
 
 
+@pytest.mark.parametrize("x", [10, 100, 3000])
+def test_pool_reader_keeps_the_anomalous_primes_of_x3_plus_1(x):
+    # x^3+1 is x+1 mod 2 and mod 3, so ord(p) = p there and both primes are
+    # injective; the pool keeps them with ell(p) = p, and every other
+    # anomalous prime of the exact scan up to x
+    G = parse_polynomial("x^3+1")
+    pool = prime_lab.ell_pool.__wrapped__(G, x)
+    rows = _rows(pool)
+    for p in (2, 3):
+        assert rows[p] == (p, True, True, True, p)
+    exact = scan_primes(G, 2, x)
+    assert pool.p[pool.anomalous].tolist() == exact.p[exact.anomalous].tolist()
+
+
 def _pool_with(monkeypatch, edit):
     """verify's pool reader, with edit applied to the true pool's columns."""
     from dyngcd import verify

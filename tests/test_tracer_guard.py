@@ -5,10 +5,13 @@ would break `perfbench/run.py --trace 1` fails here instead."""
 
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dyngcd  # loads no submodule: its public names resolve on first use
 from dyngcd import density_lab, orbit_engine, verify
@@ -77,3 +80,43 @@ def test_scan_length_is_its_prime_count():
     for a, b in ((2, 100), (90, 400), (24, 28), (1, 1)):
         primes = [p for p in range(max(a, 2), b + 1) if all(p % d for d in range(2, p))]
         assert len(scan_primes(F, a, b)) == len(primes)
+
+
+CHILD = TRACER.parent / "child.py"
+
+
+def _child(args, trace_out=None):
+    env = {k: v for k, v in os.environ.items() if k != "PERFBENCH_TRACE_OUT"}
+    if trace_out is not None:
+        env["PERFBENCH_TRACE_OUT"] = str(trace_out)
+    return subprocess.run([sys.executable, str(CHILD), *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ["ord", "--poly", "x^2+1", "--n", "13", "--n", "65", "--n", "1000", "--cache", "ranks.csv"],
+    ["scan", "--poly", "x^2+1", "--pmax", "300", "--cache", "ranks.csv"],
+    ["density", "--poly", "x^2+1", "--k", "2", "--x", "5000", "--method", "sieve"],
+    ["verify", "--bound", "30"],
+], ids=lambda args: args[0])
+def test_traced_command_prints_what_the_untraced_one_prints(args, tmp_path):
+    # the untraced run writes the rank cache, so the traced one loads it and
+    # saves it again, and ord ranks off it: every hook install binds on
+    # OrdCache runs
+    args = [str(tmp_path / a) if a == "ranks.csv" else a for a in args]
+    plain = _child(args)
+    assert plain.returncode == 0, plain.stderr
+    out = tmp_path / "spans.json"
+    traced = _child(args, out)
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    spans = json.loads(out.read_text(encoding="utf-8"))
+    names, parent = spans["names"], spans["parent"]
+    assert names[0] == f"cli.{args[0]}" and parent[0] == -1
+    assert all(0 <= p < i for i, p in enumerate(parent) if i)
+    counts = spans["counts"]
+    if "--cache" in args:
+        assert counts["orbit_engine.OrdCache.load.calls"] == 1
+        assert counts["orbit_engine.OrdCache.save.calls"] == 1
+    if args[0] == "ord":
+        assert counts["orbit_engine.OrdCache.rank_of.hits"] >= 3
